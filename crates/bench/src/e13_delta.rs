@@ -6,10 +6,13 @@
 //! measures the machinery that removes the blow-up:
 //!
 //! * **Delta commit** — `apply_remote_version` over the chunked store
-//!   writes only the chunks whose digests changed plus one new map, versus
-//!   the whole-file baseline (`delta_commit: false`) rewriting every
-//!   chunk. Sweeping file size × edit size, a ≤ 64 KiB edit of a ≥ 16 MiB
-//!   file must commit at least 10× fewer disk blocks than the baseline.
+//!   copies only the chunks whose digests changed into free slots of the
+//!   file's extent plus one new map, versus the whole-file baseline
+//!   (`delta_commit: false`) rewriting every chunk. Both are reported
+//!   against the **ideal** — the blocks of data that actually changed
+//!   (delta) or that the file holds (whole-file): the whole-file commit
+//!   must stay within 3.2× ideal and linear in file size, and a 16-chunk
+//!   edit of a 16 MiB file within 200 block writes.
 //! * **Delta propagation** — a two-host world pulls a small edit of a
 //!   large replicated file: the puller exchanges chunk maps over the
 //!   `;f;map;` control name and ships only the dirty chunks (`;f;blk;`),
@@ -183,7 +186,9 @@ pub fn run() -> Report {
             "file size",
             "edit",
             "delta blk writes",
+            "x ideal",
             "whole-file blk writes",
+            "x ideal",
             "reduction",
         ],
     );
@@ -194,14 +199,26 @@ pub fn run() -> Report {
         (16 * 1024 * 1024, 64 * 1024),
     ] {
         let c = measure_commit(n, k);
+        // Ideal: one block write per block of data the commit had to move.
+        let delta_amp = c.delta_writes as f64 / data_blocks(k);
+        let wholefile_amp = c.wholefile_writes as f64 / data_blocks(n);
         t.row(vec![
             human(n),
             human(k),
             c.delta_writes.to_string(),
+            format!("{delta_amp:.2}x"),
             c.wholefile_writes.to_string(),
+            format!("{wholefile_amp:.2}x"),
             ratio_of(c.wholefile_writes as f64, c.delta_writes as f64),
         ]);
         let key = format!("f{}_u{}", human(n), human(k));
+        m.det_tol(&format!("{key}.delta_amp"), "ratio", delta_amp, 0.02);
+        m.det_tol(
+            &format!("{key}.wholefile_amp"),
+            "ratio",
+            wholefile_amp,
+            0.02,
+        );
         m.det(
             &format!("{key}.delta_writes"),
             "blocks",
@@ -221,7 +238,8 @@ pub fn run() -> Report {
             );
         }
     }
-    t.note("delta commit writes only digest-dirty chunks plus one map; the whole-file baseline rewrites every chunk");
+    t.note("delta commit copies only digest-dirty chunks into free extent slots plus one map; the whole-file baseline rewrites every chunk");
+    t.note("x ideal = block writes per 4 KiB block of data moved (edit size for delta, file size for whole-file)");
     Report {
         table: t,
         metrics: m,
@@ -277,6 +295,11 @@ pub fn run_transfer() -> Report {
     }
 }
 
+/// 4 KiB blocks holding `bytes` of data — the ideal write count.
+fn data_blocks(bytes: usize) -> f64 {
+    bytes.div_ceil(4096) as f64
+}
+
 fn human(bytes: usize) -> String {
     if bytes >= 1024 * 1024 {
         format!("{}MiB", bytes / (1024 * 1024))
@@ -292,15 +315,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_edit_of_huge_file_commits_ten_times_fewer_blocks() {
-        // The acceptance bar: ≤ 64 KiB edit of a ≥ 16 MiB file, ≥ 10×.
-        let c = measure_commit(16 * 1024 * 1024, 64 * 1024);
+    fn commits_cost_their_data_not_their_file() {
+        const MIB: usize = 1024 * 1024;
+        let c1 = measure_commit(MIB, 4 * 1024);
+        let c4 = measure_commit(4 * MIB, 64 * 1024);
+        let c16 = measure_commit(16 * MIB, 64 * 1024);
+        // Whole-file: a data block, its allocation bit and its block
+        // pointer per 4 KiB and little else — within 3.2x the file's data
+        // blocks, and linear in its size (within 5 %).
         assert!(
-            c.wholefile_writes >= c.delta_writes * 10,
-            "delta {} vs whole-file {}",
-            c.delta_writes,
-            c.wholefile_writes
+            c16.wholefile_writes as f64 <= 3.2 * data_blocks(16 * MIB),
+            "16 MiB whole-file commit wrote {} blocks",
+            c16.wholefile_writes
         );
+        for (small, large) in [(&c1, &c4), (&c4, &c16)] {
+            let growth = large.wholefile_writes as f64 / small.wholefile_writes as f64;
+            assert!(
+                (growth - 4.0).abs() <= 0.2,
+                "4x the file must cost 4x the writes: {} -> {}",
+                small.wholefile_writes,
+                large.wholefile_writes
+            );
+        }
+        // Delta: the 16 dirty chunks, one map, and a constant — not a
+        // function of the 4096 chunks the file has.
+        assert!(
+            c16.delta_writes <= 200,
+            "16-chunk delta of 16 MiB wrote {} blocks",
+            c16.delta_writes
+        );
+        assert!(c16.wholefile_writes >= c16.delta_writes * 10);
     }
 
     #[test]

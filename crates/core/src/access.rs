@@ -230,40 +230,45 @@ fn try_delta(
         return None;
     }
     let dirty = chunks::dirty_indices(&local, &remote);
-    let mut fetched: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+    let clean: Vec<u32> = (0..remote.chunks.len() as u32)
+        .filter(|i| dirty.binary_search(i).is_err())
+        .collect();
+    // Chunk `i` of the new contents lies at `i * chunk_size` (the decoded
+    // map guarantees every chunk but the last is full), so each contiguous
+    // run — dirty from the wire, clean from the local replica — is one
+    // read placed at its offset.
+    let csize = u64::from(remote.chunk_size);
+    if csize == 0 || remote.size.div_ceil(csize) != remote.chunks.len() as u64 {
+        return None;
+    }
+    let span = |start: u32, count: u32| {
+        let lo = u64::from(start) * csize;
+        let hi = ((u64::from(start) + u64::from(count)) * csize).min(remote.size);
+        lo as usize..hi as usize
+    };
+    let mut data = vec![0u8; remote.size as usize];
+    let mut place = |start: u32, count: u32, buf: &[u8]| {
+        let dst = data.get_mut(span(start, count))?;
+        (buf.len() == dst.len()).then(|| dst.copy_from_slice(buf))
+    };
     let mut bytes_fetched = 0u64;
     for (start, count) in chunks::contiguous_ranges(&dirty) {
         let buf = access.fetch_chunks(file, start, count).ok()?;
-        // Slice the range payload into per-chunk pieces by map lengths.
-        let mut off = 0usize;
-        for i in start..start + count {
-            let entry = remote.chunks.get(i as usize)?;
-            let end = off.checked_add(entry.len as usize)?;
-            fetched.insert(i, buf.get(off..end)?.to_vec());
-            off = end;
-        }
-        if off != buf.len() {
-            return None;
-        }
+        place(start, count, &buf)?;
         bytes_fetched += buf.len() as u64;
     }
-    // Assemble: dirty chunks from the fetch, the rest from the local copy.
-    let mut data = Vec::with_capacity(remote.size as usize);
-    for (i, entry) in remote.chunks.iter().enumerate() {
-        let piece = match fetched.remove(&(i as u32)) {
-            Some(p) => p,
-            None => {
-                let off = (i as u64) * u64::from(remote.chunk_size);
-                phys.read(file, off, entry.len as usize).ok()?.to_vec()
-            }
-        };
-        if piece.len() != entry.len as usize || chunks::digest(&piece) != entry.digest {
+    for (start, count) in chunks::contiguous_ranges(&clean) {
+        let range = span(start, count);
+        let buf = phys.read(file, range.start as u64, range.len()).ok()?;
+        place(start, count, &buf)?;
+    }
+    // Every piece — fetched or reused — must be what the remote map
+    // promised: this is what catches a local chunk torn by a non-atomic
+    // in-place write.
+    for (entry, piece) in remote.chunks.iter().zip(data.chunks(csize as usize)) {
+        if piece.len() != entry.len as usize || chunks::digest(piece) != entry.digest {
             return None;
         }
-        data.extend_from_slice(&piece);
-    }
-    if data.len() as u64 != remote.size {
-        return None;
     }
     Some(DeltaFetch {
         data,
@@ -491,6 +496,7 @@ impl ReplicaAccess for VnodeAccess {
 mod tests {
     use super::*;
     use ficus_ufs::{Disk, Geometry, Ufs, UfsParams};
+    use ficus_vnode::measure::{MeasureLayer, Op, OpCounters};
     use ficus_vnode::{FileSystem, LogicalClock, TimeSource, VnodeType};
 
     use crate::ids::{VolumeName, ROOT_FILE};
@@ -616,35 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_fetch_ships_only_changed_chunks() {
-        // Replica 1 holds the newer version; replica 2 pulls it.
-        let p1 = phys_replica(ReplicaId(1));
-        let p2 = phys_replica(ReplicaId(2));
-        let f = p1.create(ROOT_FILE, "big", VnodeType::Regular).unwrap();
-        let mut data = vec![7u8; 16 * 4096];
-        p1.write(f, 0, &data).unwrap();
-        p2.adopt_file(
-            ROOT_FILE,
-            f,
-            VnodeType::Regular,
-            &p1.file_vv(f).unwrap(),
-            &data,
-        )
-        .unwrap();
-
-        // A one-chunk edit at the origin.
-        p1.write(f, 2 * 4096 + 5, &[9u8; 100]).unwrap();
-        data[2 * 4096 + 5..2 * 4096 + 105].fill(9);
-
-        let acc = VnodeAccess::new(ReplicaId(1), PhysFs::new(Arc::clone(&p1)).root());
-        let pulled = fetch_file_delta(&acc, &p2, f).unwrap();
-        assert_eq!(pulled.data, data);
-        assert_eq!(pulled.blocks_shipped, 1);
-        assert_eq!(pulled.blocks_reused, 15);
-        assert_eq!(pulled.bytes_fetched, 4096);
-    }
-
-    #[test]
     fn delta_fetch_falls_back_to_whole_file() {
         let p1 = phys_replica(ReplicaId(1));
         let p2 = phys_replica(ReplicaId(2));
@@ -712,6 +689,106 @@ mod tests {
         assert_eq!(pulled.data, body);
         assert_eq!(pulled.blocks_shipped, 0);
         assert_eq!(pulled.bytes_fetched, body.len() as u64);
+    }
+
+    /// Replica 1 holds a 16-chunk file replica 2 has adopted, then edits
+    /// one chunk of it.
+    struct DeltaPair {
+        origin: Arc<FicusPhysical>,
+        puller: Arc<FicusPhysical>,
+        file: FicusFileId,
+        /// The origin's contents after the edit.
+        data: Vec<u8>,
+        /// The puller's raw extent object.
+        extent: VnodeRef,
+        /// Vnode calls the puller's physical layer makes on its UFS.
+        puller_calls: Arc<OpCounters>,
+    }
+
+    impl DeltaPair {
+        fn new() -> Self {
+            let origin = phys_replica(ReplicaId(1));
+            let ufs = Ufs::format(Disk::new(Geometry::medium()), UfsParams::default()).unwrap();
+            let (storage, puller_calls) = MeasureLayer::new(Arc::new(ufs));
+            let puller = FicusPhysical::create_volume(
+                storage,
+                "vol",
+                VolumeName::new(1, 1),
+                ReplicaId(2),
+                &[1, 2],
+                Arc::new(LogicalClock::new()) as Arc<dyn TimeSource>,
+                PhysParams::default(),
+            )
+            .unwrap();
+            let file = origin.create(ROOT_FILE, "big", VnodeType::Regular).unwrap();
+            let mut data: Vec<u8> = (0..16 * 4096u32).map(|i| (i % 241) as u8).collect();
+            origin.write(file, 0, &data).unwrap();
+            let vv = origin.file_vv(file).unwrap();
+            puller
+                .adopt_file(ROOT_FILE, file, VnodeType::Regular, &vv, &data)
+                .unwrap();
+            origin.write(file, 2 * 4096 + 5, &[9u8; 100]).unwrap();
+            data[2 * 4096 + 5..2 * 4096 + 105].fill(9);
+            let cred = Credentials::root();
+            let base = puller.storage().root().lookup(&cred, "vol").unwrap();
+            let extent = base.lookup(&cred, &format!("{}.x", file.hex())).unwrap();
+            DeltaPair {
+                origin,
+                puller,
+                file,
+                data,
+                extent,
+                puller_calls,
+            }
+        }
+
+        fn pull(&self) -> DeltaFetch {
+            let root = PhysFs::new(Arc::clone(&self.origin)).root();
+            fetch_file_delta(
+                &VnodeAccess::new(ReplicaId(1), root),
+                &self.puller,
+                self.file,
+            )
+            .unwrap()
+        }
+    }
+
+    #[test]
+    fn delta_fetch_ships_changed_chunks_and_reads_clean_runs() {
+        let pair = DeltaPair::new();
+        pair.puller_calls.reset();
+        let pulled = pair.pull();
+        assert_eq!(pulled.data, pair.data);
+        assert_eq!((pulled.blocks_shipped, pulled.blocks_reused), (1, 15));
+        assert_eq!(pulled.bytes_fetched, 4096);
+        // Fifteen clean chunks in two runs (0..2 and 3..16): one UFS read
+        // for the local map, then header + entries + one slot run per clean
+        // run — not per clean chunk.
+        assert_eq!(pair.puller_calls.get(Op::Read), 1 + 2 * 3);
+    }
+
+    #[test]
+    fn delta_fetch_falls_back_when_a_reused_chunk_is_torn() {
+        let cred = Credentials::root();
+        // A local chunk whose bytes no longer match its digest (a torn
+        // in-place write): same length, so only the per-chunk verification
+        // of *reused* pieces can notice.
+        let pair = DeltaPair::new();
+        pair.extent.write(&cred, 9 * 4096 + 17, b"torn").unwrap();
+        let pulled = pair.pull();
+        assert_eq!(pulled.data, pair.data, "never the torn bytes");
+        assert_eq!((pulled.blocks_shipped, pulled.blocks_reused), (0, 0));
+        assert_eq!(pulled.bytes_fetched, pair.data.len() as u64, "went whole");
+
+        // A local extent that lost its tail: the clean run's read fails
+        // outright, and the pull falls back the same way.
+        let pair = DeltaPair::new();
+        pair.extent
+            .setattr(&cred, &ficus_vnode::SetAttr::size(12 * 4096))
+            .unwrap();
+        let pulled = pair.pull();
+        assert_eq!(pulled.data, pair.data, "never zero-filled bytes");
+        assert_eq!(pulled.bytes_fetched, pair.data.len() as u64, "went whole");
     }
 
     #[test]

@@ -4,14 +4,20 @@
 //! footnote 5 concedes the cost is "significant... if the client is
 //! updating a few points in a large file". This module is the repair: a
 //! regular file's replica is stored as a small **map file** (the encoded
-//! [`ChunkMap`], living under the file's hex name) naming the fixed-size
-//! **chunk files** (`<hex>.k<gen:016x>`) that compose the contents. Shadow
-//! commit then writes only the *dirty* chunks (under fresh generation
-//! numbers, never referenced by the committed map) plus a new map, fsyncs
-//! them, and atomically swaps the map reference with one UFS rename — the
-//! §3.2 crash guarantee is unchanged because the old map and every chunk it
-//! names stay intact until the swap. Recovery discards orphaned shadow maps
-//! and any chunk whose generation no map references.
+//! [`ChunkMap`], living under the file's hex name) over one **extent
+//! object** (`<hex>.x`) cut into fixed-size **slots**; each map entry names
+//! the slot holding its chunk. Shadow commit then copies only the *dirty*
+//! chunks into slots the committed map does not reference, fsyncs the
+//! extent once, writes a new map, and atomically swaps the map reference
+//! with one UFS rename — the §3.2 crash guarantee is unchanged because the
+//! old map and every slot it names stay intact until the swap. A slot no
+//! map references is simply free: there is no debris for recovery to sweep
+//! beyond the orphaned shadow map.
+//!
+//! The map is a fixed 17-byte [`MapHeader`] followed by fixed 20-byte
+//! entries, so the physical layer reads and rewrites *only the entries an
+//! operation touches* ([`decode_entries`] validates them exactly as the
+//! whole-map [`ChunkMap::decode`] does — it is the same code).
 //!
 //! The same map doubles as the delta-propagation manifest: peers fetch it
 //! over the overloaded-lookup control plane (`;f;map;<hex>`), diff the
@@ -21,6 +27,8 @@
 //!
 //! This file is on the lint R3 list: the decode path serves remote
 //! requests, so nothing here may panic on malformed input.
+
+use std::collections::BTreeSet;
 
 use ficus_nfs::wire::{Dec, Enc};
 use ficus_vnode::{FsError, FsResult};
@@ -45,14 +53,19 @@ pub fn digest(data: &[u8]) -> u64 {
     h
 }
 
+/// Encoded size of a [`MapHeader`].
+pub const MAP_HEADER_LEN: usize = 17;
+/// Encoded size of one [`ChunkEntry`].
+pub const MAP_ENTRY_LEN: usize = 20;
+
 /// One chunk of a replica's contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkEntry {
-    /// Generation number: the chunk file is named `<hex>.k<gen:016x>`.
-    /// Generations are minted from the volume's unique-id sequence and
-    /// never reused, so a freshly written chunk can never collide with one
-    /// an older map still references.
-    pub generation: u64,
+    /// Index of the extent slot holding the chunk: its bytes live at
+    /// `slot * chunk_size` in `<hex>.x`. Meaningful only to the replica
+    /// that stores the extent — it travels in the `;f;map;` frame, and
+    /// receivers ignore it.
+    pub slot: u64,
     /// Bytes stored in this chunk (equal to the map's `chunk_size` for all
     /// but the last chunk).
     pub len: u32,
@@ -84,31 +97,75 @@ impl ChunkMap {
         }
     }
 
-    /// Whether any chunk carries `generation`.
+    /// The fixed-size header describing this map.
     #[must_use]
-    pub fn references(&self, generation: u64) -> bool {
-        self.chunks.iter().any(|c| c.generation == generation)
+    pub fn header(&self) -> MapHeader {
+        MapHeader {
+            chunk_size: self.chunk_size,
+            size: self.size,
+            count: self.chunks.len() as u32,
+        }
+    }
+
+    /// Slot indices no entry references, lowest first (unbounded: past the
+    /// highest referenced slot every index is free). Taking free slots in
+    /// this order is what keeps slot placement deterministic per seed.
+    pub fn free_slots(&self) -> impl Iterator<Item = u64> {
+        let used: BTreeSet<u64> = self.chunks.iter().map(|c| c.slot).collect();
+        (0u64..).filter(move |s| !used.contains(s))
     }
 
     /// Serializes to the map-file / wire format.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = self.header().encode();
+        buf.extend_from_slice(&encode_entries(&self.chunks));
+        buf
+    }
+
+    /// Parses and validates a map. Truncated input, trailing bytes, and any
+    /// shape that violates the size/chunk-count invariants are rejected —
+    /// this is the frame remote peers hand us, so it must be total.
+    pub fn decode(buf: &[u8]) -> FsResult<Self> {
+        let (head, entries) = buf.split_at_checked(MAP_HEADER_LEN).ok_or(FsError::Io)?;
+        let header = MapHeader::decode(head)?;
+        if buf.len() as u64 != header.file_len() {
+            return Err(FsError::Io);
+        }
+        let chunks = decode_entries(&header, 0, entries)?;
+        Ok(ChunkMap {
+            chunk_size: header.chunk_size,
+            size: header.size,
+            chunks,
+        })
+    }
+}
+
+/// The fixed-size head of a map file: enough to locate and validate any
+/// entry without reading the others.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MapHeader {
+    /// Chunk size the map was built with (never zero once decoded).
+    pub chunk_size: u32,
+    /// Logical file size in bytes.
+    pub size: u64,
+    /// Number of entries; always `size.div_ceil(chunk_size)`.
+    pub count: u32,
+}
+
+impl MapHeader {
+    /// Serializes the [`MAP_HEADER_LEN`]-byte header.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.u8(MAP_VERSION);
         e.u32(self.chunk_size);
         e.u64(self.size);
-        e.u32(self.chunks.len() as u32);
-        for c in &self.chunks {
-            e.u64(c.generation);
-            e.u32(c.len);
-            e.u64(c.digest);
-        }
+        e.u32(self.count);
         e.finish()
     }
 
-    /// Parses and validates a map. Truncated input, trailing bytes, and any
-    /// shape that violates the size/chunk-count invariants are rejected —
-    /// this is the frame remote peers hand us, so it must be total.
+    /// Parses and validates exactly [`MAP_HEADER_LEN`] bytes.
     pub fn decode(buf: &[u8]) -> FsResult<Self> {
         let mut d = Dec::new(buf);
         if d.u8()? != MAP_VERSION {
@@ -119,36 +176,75 @@ impl ChunkMap {
             return Err(FsError::Io);
         }
         let size = d.u64()?;
-        let count = d.u32()? as usize;
-        if count != size.div_ceil(u64::from(chunk_size)) as usize {
+        let count = d.u32()?;
+        if u64::from(count) != size.div_ceil(u64::from(chunk_size)) || !d.at_end() {
             return Err(FsError::Io);
         }
-        let mut chunks = Vec::with_capacity(count.min(4096));
-        let mut total: u64 = 0;
-        for i in 0..count {
-            let generation = d.u64()?;
-            let len = d.u32()?;
-            let full = i + 1 < count;
-            if (full && len != chunk_size) || (!full && (len == 0 || len > chunk_size)) {
-                return Err(FsError::Io);
-            }
-            let digest = d.u64()?;
-            total += u64::from(len);
-            chunks.push(ChunkEntry {
-                generation,
-                len,
-                digest,
-            });
-        }
-        if total != size || !d.at_end() {
-            return Err(FsError::Io);
-        }
-        Ok(ChunkMap {
+        Ok(MapHeader {
             chunk_size,
             size,
-            chunks,
+            count,
         })
     }
+
+    /// Total encoded length of the map this header describes.
+    #[must_use]
+    pub fn file_len(&self) -> u64 {
+        entry_offset(self.count)
+    }
+
+    /// Bytes chunk `idx` must hold: `chunk_size` for every chunk but the
+    /// last, which holds the remainder.
+    #[must_use]
+    pub fn chunk_len(&self, idx: u32) -> u32 {
+        let start = u64::from(idx) * u64::from(self.chunk_size);
+        self.size
+            .saturating_sub(start)
+            .min(u64::from(self.chunk_size)) as u32
+    }
+}
+
+/// Byte offset of entry `idx` in an encoded map.
+#[must_use]
+pub fn entry_offset(idx: u32) -> u64 {
+    MAP_HEADER_LEN as u64 + u64::from(idx) * MAP_ENTRY_LEN as u64
+}
+
+/// Serializes a run of entries ([`MAP_ENTRY_LEN`] bytes each).
+#[must_use]
+pub fn encode_entries(entries: &[ChunkEntry]) -> Vec<u8> {
+    let mut e = Enc::new();
+    for c in entries {
+        e.u64(c.slot);
+        e.u32(c.len);
+        e.u64(c.digest);
+    }
+    e.finish()
+}
+
+/// Parses the run of entries starting at index `first` of the map
+/// `header` describes. `buf` must hold whole entries that all lie inside
+/// the map, and each must carry exactly the length its position dictates
+/// (full chunks everywhere but a non-empty remainder at the tail).
+pub fn decode_entries(header: &MapHeader, first: u32, buf: &[u8]) -> FsResult<Vec<ChunkEntry>> {
+    let n = buf.len() / MAP_ENTRY_LEN;
+    if !buf.len().is_multiple_of(MAP_ENTRY_LEN)
+        || u64::from(first) + n as u64 > u64::from(header.count)
+    {
+        return Err(FsError::Io);
+    }
+    let mut d = Dec::new(buf);
+    let mut out = Vec::with_capacity(n);
+    for idx in first..first + n as u32 {
+        let slot = d.u64()?;
+        let len = d.u32()?;
+        if len != header.chunk_len(idx) {
+            return Err(FsError::Io);
+        }
+        let digest = d.u64()?;
+        out.push(ChunkEntry { slot, len, digest });
+    }
+    Ok(out)
 }
 
 /// Splits `data` into chunk-sized pieces (the last may be short; empty data
@@ -201,8 +297,8 @@ pub fn contiguous_ranges(indices: &[u32]) -> Vec<(u32, u32)> {
 /// `FicusPhysical::arm_commit_crash`; one-shot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitPoint {
-    /// Power loss partway through writing a dirty chunk: a torn chunk file
-    /// exists under a fresh generation no map references.
+    /// Power loss partway through writing a dirty chunk: a torn chunk sits
+    /// in an extent slot no map references.
     MidChunkWrite,
     /// All dirty chunks and the shadow map are on disk, but the atomic
     /// rename has not happened: the original map still governs.
@@ -215,22 +311,24 @@ pub enum CommitPoint {
 /// Counter snapshot for the chunked-storage machinery (R4-audited).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChunkStats {
-    /// Chunk files written (commit, adoption, and local writes).
+    /// Chunks written into extent slots (commit, adoption, and local
+    /// writes).
     pub chunks_written: u64,
     /// Chunks a delta commit kept from the previous map (digest match).
     pub chunks_reused: u64,
     /// Shadow maps atomically swapped in (successful commits).
     pub maps_committed: u64,
-    /// Commits unwound on an error path (shadow + fresh chunks discarded).
+    /// Commits unwound on an error path (shadow map discarded; the slots
+    /// it filled were never referenced, so they are simply free again).
     pub commit_aborts: u64,
-    /// Shadow files discarded by crash recovery.
+    /// Shadow maps discarded by crash recovery.
     pub shadows_discarded: u64,
-    /// Shadow files recovery tried and FAILED to discard — previously
-    /// swallowed silently, now accounted so a stale shadow surviving every
-    /// recovery is visible.
+    /// Extents with no map (a crashed adoption) discarded by crash
+    /// recovery.
+    pub extents_discarded: u64,
+    /// Shadow maps or map-less extents recovery tried and FAILED to
+    /// discard — accounted so debris surviving every recovery is visible.
     pub shadow_discard_failures: u64,
-    /// Unreferenced chunk files swept by crash recovery.
-    pub orphan_chunks_removed: u64,
 }
 
 impl ChunkStats {
@@ -241,8 +339,8 @@ impl ChunkStats {
         self.maps_committed += other.maps_committed;
         self.commit_aborts += other.commit_aborts;
         self.shadows_discarded += other.shadows_discarded;
+        self.extents_discarded += other.extents_discarded;
         self.shadow_discard_failures += other.shadow_discard_failures;
-        self.orphan_chunks_removed += other.orphan_chunks_removed;
     }
 }
 
@@ -260,7 +358,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, p)| ChunkEntry {
-                    generation: 100 + i as u64,
+                    slot: 100 + i as u64,
                     len: p.len() as u32,
                     digest: digest(p),
                 })
@@ -325,6 +423,53 @@ mod tests {
     }
 
     #[test]
+    fn entries_decode_by_index_exactly_as_the_whole_map_does() {
+        let m = map(4, &[b"abcd", b"efgh", b"ijkl", b"xy"]);
+        let buf = m.encode();
+        let header = MapHeader::decode(&buf[..MAP_HEADER_LEN]).unwrap();
+        assert_eq!(header, m.header());
+        assert_eq!(header.file_len(), buf.len() as u64);
+        // Any window of whole entries decodes to the same entries the
+        // whole-map decode yields, and re-encodes to the same bytes.
+        for first in 0..4u32 {
+            for n in 0..=(4 - first) {
+                let lo = entry_offset(first) as usize;
+                let hi = entry_offset(first + n) as usize;
+                let got = decode_entries(&header, first, &buf[lo..hi]).unwrap();
+                assert_eq!(got, m.chunks[first as usize..(first + n) as usize]);
+                assert_eq!(encode_entries(&got), &buf[lo..hi]);
+            }
+        }
+        // A window past the map, a ragged window, and an entry whose length
+        // disagrees with its position are all rejected.
+        let tail = &buf[entry_offset(3) as usize..];
+        assert!(decode_entries(&header, 4, tail).is_err(), "past the end");
+        assert!(decode_entries(&header, 3, &tail[..19]).is_err(), "ragged");
+        assert!(
+            decode_entries(&header, 2, tail).is_err(),
+            "tail len mid-map"
+        );
+        let full = &buf[entry_offset(0) as usize..entry_offset(1) as usize];
+        assert!(
+            decode_entries(&header, 3, full).is_err(),
+            "full len at tail"
+        );
+    }
+
+    #[test]
+    fn free_slots_are_the_lowest_unreferenced_indices() {
+        let mut m = map(4, &[b"abcd", b"efgh", b"xy"]);
+        for (c, slot) in m.chunks.iter_mut().zip([0u64, 3, 1]) {
+            c.slot = slot;
+        }
+        assert_eq!(m.free_slots().take(4).collect::<Vec<_>>(), vec![2, 4, 5, 6]);
+        assert_eq!(
+            ChunkMap::empty(4).free_slots().take(2).collect::<Vec<_>>(),
+            vec![0, 1]
+        );
+    }
+
+    #[test]
     fn split_and_digest_are_stable() {
         assert!(split(b"", 4).is_empty());
         let pieces = split(b"abcdefghij", 4);
@@ -352,9 +497,6 @@ mod tests {
         // Chunk-size mismatch: everything dirty.
         let new = map(8, &[b"abcdefgh", b"xy"]);
         assert_eq!(dirty_indices(&old, &new), vec![0, 1]);
-        // References helper.
-        assert!(old.references(101));
-        assert!(!old.references(7));
     }
 
     #[test]
@@ -375,8 +517,8 @@ mod tests {
             maps_committed: 3,
             commit_aborts: 4,
             shadows_discarded: 5,
-            shadow_discard_failures: 6,
-            orphan_chunks_removed: 7,
+            extents_discarded: 6,
+            shadow_discard_failures: 7,
         };
         let mut b = a;
         b.absorb(&a);
@@ -385,7 +527,7 @@ mod tests {
         assert_eq!(b.maps_committed, 6);
         assert_eq!(b.commit_aborts, 8);
         assert_eq!(b.shadows_discarded, 10);
-        assert_eq!(b.shadow_discard_failures, 12);
-        assert_eq!(b.orphan_chunks_removed, 14);
+        assert_eq!(b.extents_discarded, 12);
+        assert_eq!(b.shadow_discard_failures, 14);
     }
 }

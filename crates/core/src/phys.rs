@@ -11,9 +11,11 @@
 //! * the Ficus file handle is encoded as a **hexadecimal string used as a
 //!   UFS pathname** (`<hex>` for a file, `<hex>.d` child-directory subtree);
 //! * a regular file's contents are chunked (DESIGN.md §4.13): `<hex>` holds
-//!   the encoded [`ChunkMap`] naming the chunk files (`<hex>.k<gen>`) that
-//!   compose the replica, so shadow commit and propagation move only dirty
-//!   chunks instead of whole files (§3.2 footnote 5).
+//!   the encoded [`ChunkMap`], whose entries index fixed-size **slots** of
+//!   one extent object `<hex>.x`, so shadow commit and propagation move
+//!   only dirty chunks instead of whole files (§3.2 footnote 5), a file
+//!   costs three UFS names whatever its size, and reads and in-place
+//!   writes touch only the map entries of the chunks they cover.
 //!
 //! Two layouts are provided, the ablation behind experiment E6:
 //!
@@ -29,16 +31,17 @@
 //! The physical layer also implements the replication machinery that must
 //! live next to the data: version-vector maintenance on every update, the
 //! **shadow-map atomic commit** used by update propagation (§3.2: dirty
-//! chunks + a new map are fsynced, then one UFS rename swaps the map
-//! reference), the **new-version cache** fed by update notifications, and
-//! crash recovery (discard shadow maps and unreferenced chunks, keep
-//! originals).
+//! chunks go into slots the committed map does not reference, the extent
+//! and a new map are fsynced, then one UFS rename swaps the map reference),
+//! the **new-version cache** fed by update notifications, and crash
+//! recovery (discard shadow maps and map-less extents, keep originals — a
+//! slot no map references is simply free).
 //!
 //! Everything the layer offers is also exported through the vnode interface
 //! (see [`vnode`]), including the overloaded-lookup control plane of §2.3,
 //! so a remote logical layer reaches it through NFS unmodified.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -53,7 +56,10 @@ use ficus_vv::VersionVector;
 
 use crate::attrs::ReplAttrs;
 use crate::changelog::{ChangeLog, ChangelogStats, LogSuffix};
-use crate::chunks::{self, ChunkEntry, ChunkMap, ChunkStats, CommitPoint, DEFAULT_CHUNK_SIZE};
+use crate::chunks::{
+    self, ChunkEntry, ChunkMap, ChunkStats, CommitPoint, MapHeader, DEFAULT_CHUNK_SIZE,
+    MAP_ENTRY_LEN, MAP_HEADER_LEN,
+};
 use crate::conflict::{ConflictKind, ConflictLog};
 use crate::dirfile::{FicusDir, FicusEntry, MergeOutcome};
 use crate::ids::{EntryId, FicusFileId, ReplicaId, VolumeName, ROOT_FILE};
@@ -143,7 +149,11 @@ pub struct FicusPhysical {
     dir_policy: DirPolicy,
     cred: Credentials,
     big: ReentrantMutex<()>,
-    index: Mutex<HashMap<FicusFileId, Loc>>,
+    // BTreeMap: `has_live_reference` walks the directories in iteration
+    // order and stops at the first hit, so the order decides how many
+    // directory files an unlink reads — it must not follow std's
+    // per-process hasher.
+    index: Mutex<BTreeMap<FicusFileId, Loc>>,
     // BTreeMap: `take_due_notifications` drains in iteration order, and the
     // propagation daemon's pull order must be deterministic per seed.
     nvc: Mutex<BTreeMap<FicusFileId, NvcEntry>>,
@@ -166,8 +176,8 @@ struct ChunkCounters {
     maps_committed: AtomicU64,
     commit_aborts: AtomicU64,
     shadows_discarded: AtomicU64,
+    extents_discarded: AtomicU64,
     shadow_discard_failures: AtomicU64,
-    orphan_chunks_removed: AtomicU64,
 }
 
 impl ChunkCounters {
@@ -178,8 +188,8 @@ impl ChunkCounters {
             maps_committed: self.maps_committed.load(AtomicOrdering::Relaxed),
             commit_aborts: self.commit_aborts.load(AtomicOrdering::Relaxed),
             shadows_discarded: self.shadows_discarded.load(AtomicOrdering::Relaxed),
+            extents_discarded: self.extents_discarded.load(AtomicOrdering::Relaxed),
             shadow_discard_failures: self.shadow_discard_failures.load(AtomicOrdering::Relaxed),
-            orphan_chunks_removed: self.orphan_chunks_removed.load(AtomicOrdering::Relaxed),
         }
     }
 }
@@ -194,19 +204,15 @@ const AUX_SUFFIX: &str = ".a";
 const SUBDIR_SUFFIX: &str = ".d";
 /// Suffix of a shadow file (transient; discarded at recovery).
 const SHADOW_SUFFIX: &str = ".s";
+/// Suffix of a regular file's extent object: the fixed-size slots its
+/// chunk map indexes.
+const EXTENT_SUFFIX: &str = ".x";
 /// Name of the sequence-reservation meta file at the volume root.
 const META_FILE: &str = "meta";
 /// Orphanage for conflict copies and remove/update preserves.
 const ORPHANAGE: &str = "lost+found";
 /// Allocation batch persisted ahead of use.
 const SEQ_BATCH: u64 = 64;
-
-/// UFS name of one chunk of a file's contents: `<hex>.k<generation:016x>`.
-/// Generations are minted from the volume's unique counter and never
-/// reused, so a chunk file is immutable once its map commits.
-fn chunk_name(file: FicusFileId, generation: u64) -> String {
-    format!("{}.k{generation:016x}", file.hex())
-}
 
 impl FicusPhysical {
     /// Creates a brand-new volume replica inside `base_name` under the root
@@ -276,7 +282,7 @@ impl FicusPhysical {
             dir_policy: params.dir_policy,
             cred: Credentials::root(),
             big: ReentrantMutex::new(()),
-            index: Mutex::new(HashMap::new()),
+            index: Mutex::new(BTreeMap::new()),
             nvc: Mutex::new(BTreeMap::new()),
             conflicts: ConflictLog::new(),
             changelog: ChangeLog::new(params.changelog_capacity),
@@ -654,8 +660,8 @@ impl FicusPhysical {
         };
         let file = FicusFileId::new(self.me.0, self.next_unique()?);
         let entry_id = EntryId::new(self.me.0, self.next_unique()?);
-        // An empty file is an empty chunk map — chunk files appear lazily
-        // as data is written.
+        // An empty file is an empty chunk map — the extent appears with
+        // the first data written.
         self.write_named(
             &scope,
             &file.hex(),
@@ -985,18 +991,13 @@ impl FicusPhysical {
                 }
             }
         } else {
-            // Chunks first (the map names them), then the map and aux.
-            if let Ok(map) = self.load_map(&loc.parent_ufs, file) {
-                for e in &map.chunks {
-                    let _ = loc
-                        .parent_ufs
-                        .remove(&self.cred, &chunk_name(file, e.generation));
-                }
+            // Map first: an extent without a map is debris recovery knows how
+            // to discard, a map without its extent is a torn file.
+            for suffix in ["", EXTENT_SUFFIX, AUX_SUFFIX] {
+                let _ = loc
+                    .parent_ufs
+                    .remove(&self.cred, &format!("{}{suffix}", file.hex()));
             }
-            let _ = loc.parent_ufs.remove(&self.cred, &file.hex());
-            let _ = loc
-                .parent_ufs
-                .remove(&self.cred, &format!("{}{}", file.hex(), AUX_SUFFIX));
         }
         self.index.lock().remove(&file);
         Ok(())
@@ -1014,146 +1015,221 @@ impl FicusPhysical {
         Ok(loc.parent_ufs)
     }
 
-    /// Decodes the chunk map stored at `<hex>`.
+    /// Decodes the whole chunk map stored at `<hex>` (commit, growth,
+    /// truncate and the `;f;map;` frame; reads and overwrites go by entry).
     fn load_map(&self, scope: &VnodeRef, file: FicusFileId) -> FsResult<ChunkMap> {
         ChunkMap::decode(&self.read_whole(scope, &file.hex())?)
     }
 
-    /// Reads one chunk's bytes.
-    fn read_chunk(
-        &self,
-        scope: &VnodeRef,
-        file: FicusFileId,
-        entry: &ChunkEntry,
-    ) -> FsResult<Vec<u8>> {
-        let v = scope.lookup(&self.cred, &chunk_name(file, entry.generation))?;
-        Ok(v.read(&self.cred, 0, entry.len as usize)?.to_vec())
+    /// Opens the chunk map at `<hex>` by its header alone, checked against
+    /// the map file's length.
+    fn open_map(&self, scope: &VnodeRef, file: FicusFileId) -> FsResult<(VnodeRef, MapHeader)> {
+        let v = scope.lookup(&self.cred, &file.hex())?;
+        let header = MapHeader::decode(&v.read(&self.cred, 0, MAP_HEADER_LEN)?)?;
+        if v.getattr(&self.cred)?.size != header.file_len() {
+            return Err(FsError::Io);
+        }
+        Ok((v, header))
     }
 
-    /// Writes one chunk file (create if missing), optionally fsyncing it.
-    fn write_chunk_file(
+    /// Reads and validates entries `[first, first + n)` of an open map.
+    fn read_entries(
         &self,
-        scope: &VnodeRef,
-        file: FicusFileId,
-        generation: u64,
-        bytes: &[u8],
-        fsync: bool,
-    ) -> FsResult<()> {
-        let name = chunk_name(file, generation);
-        let v = match scope.lookup(&self.cred, &name) {
-            Ok(v) => v,
-            Err(FsError::NotFound) => scope.create(&self.cred, &name, 0o600)?,
-            Err(e) => return Err(e),
-        };
-        if !bytes.is_empty() {
-            v.write(&self.cred, 0, bytes)?;
+        map: &VnodeRef,
+        header: &MapHeader,
+        first: u32,
+        n: u32,
+    ) -> FsResult<Vec<ChunkEntry>> {
+        let want = n as usize * MAP_ENTRY_LEN;
+        let buf = map.read(&self.cred, chunks::entry_offset(first), want)?;
+        if buf.len() != want {
+            return Err(FsError::Io);
         }
-        v.setattr(&self.cred, &SetAttr::size(bytes.len() as u64))?;
-        if fsync {
-            v.fsync(&self.cred)?;
+        chunks::decode_entries(header, first, &buf)
+    }
+
+    /// The extent `file`'s map indexes. Writers `create` a missing one; for
+    /// readers a map that promises data with no extent behind it is a torn
+    /// file, not an empty one.
+    fn extent(&self, scope: &VnodeRef, file: FicusFileId, create: bool) -> FsResult<VnodeRef> {
+        let name = format!("{}{EXTENT_SUFFIX}", file.hex());
+        match scope.lookup(&self.cred, &name) {
+            Err(FsError::NotFound) if create => scope.create(&self.cred, &name, 0o600),
+            Err(FsError::NotFound) => Err(FsError::Io),
+            found => found,
+        }
+    }
+
+    /// Concatenated bytes of the chunks `entries` describe, each contiguous
+    /// run of slots read with one UFS call. A slot that yields fewer bytes
+    /// than its entry promises (a torn or shrunken extent) is an error —
+    /// never short or zero-filled data.
+    fn read_slots(
+        &self,
+        extent: &VnodeRef,
+        chunk_size: u32,
+        entries: &[ChunkEntry],
+    ) -> FsResult<Vec<u8>> {
+        let mut out = Vec::with_capacity(entries.iter().map(|e| e.len as usize).sum());
+        let adjacent = |a: &ChunkEntry, b: &ChunkEntry| {
+            a.len == chunk_size && a.slot.checked_add(1) == Some(b.slot)
+        };
+        for run in entries.chunk_by(adjacent) {
+            let Some(head) = run.first() else { continue };
+            let want: usize = run.iter().map(|e| e.len as usize).sum();
+            let at = head
+                .slot
+                .checked_mul(u64::from(chunk_size))
+                .ok_or(FsError::Io)?;
+            let got = extent.read(&self.cred, at, want)?;
+            if got.len() != want {
+                return Err(FsError::Io);
+            }
+            out.extend_from_slice(&got);
+        }
+        Ok(out)
+    }
+
+    /// Writes chunks of `data` (split at `chunk_size`) into extent slots:
+    /// `placed` pairs a chunk index within `data` with its slot, in index
+    /// order. Each run of consecutive chunks landing in consecutive slots
+    /// is one UFS write (one inode update per run, not per chunk).
+    fn write_slots(
+        &self,
+        extent: &VnodeRef,
+        chunk_size: u32,
+        data: &[u8],
+        placed: &[(u32, u64)],
+    ) -> FsResult<()> {
+        let csize = chunk_size as usize;
+        let adjacent =
+            |a: &(u32, u64), b: &(u32, u64)| a.0 + 1 == b.0 && a.1.checked_add(1) == Some(b.1);
+        for run in placed.chunk_by(adjacent) {
+            let (Some(&(lo, slot)), Some(&(hi, _))) = (run.first(), run.last()) else {
+                continue;
+            };
+            let end = ((hi as usize + 1) * csize).min(data.len());
+            let bytes = data.get(lo as usize * csize..end).ok_or(FsError::Io)?;
+            let at = slot.checked_mul(csize as u64).ok_or(FsError::FileTooBig)?;
+            extent.write(&self.cred, at, bytes)?;
         }
         self.chunk_counters
             .chunks_written
-            .fetch_add(1, AtomicOrdering::Relaxed);
+            .fetch_add(placed.len() as u64, AtomicOrdering::Relaxed);
         Ok(())
     }
 
-    /// Writes one chunk and records its entry at `idx` (appending when the
-    /// index is one past the end).
-    fn put_chunk(
+    /// Puts `data` at `offset`, growing the file to `offset + data.len()`
+    /// when that lies past its end (any gap reads as zeros; empty `data`
+    /// is a pure zero-extension).
+    ///
+    /// Chunks are rewritten in the slots they already occupy, and only the
+    /// map entries of the touched chunks are read and written back. Chunks
+    /// past the current end need new slots, and only the whole map can say
+    /// which are free — that is the one case that decodes it.
+    fn splice(
         &self,
         scope: &VnodeRef,
         file: FicusFileId,
-        map: &mut ChunkMap,
-        idx: usize,
-        bytes: &[u8],
-        generation: u64,
+        offset: u64,
+        data: &[u8],
     ) -> FsResult<()> {
-        self.write_chunk_file(scope, file, generation, bytes, false)?;
-        let entry = ChunkEntry {
-            generation,
-            len: bytes.len() as u32,
-            digest: chunks::digest(bytes),
-        };
-        if let Some(slot) = map.chunks.get_mut(idx) {
-            *slot = entry;
-        } else {
-            map.chunks.push(entry);
-        }
-        Ok(())
-    }
-
-    /// Stores `data` as a fresh chunked file: all-new chunk generations and
-    /// an in-place map write (used by adoption, where no older version can
-    /// need protecting).
-    fn store_chunked(&self, scope: &VnodeRef, file: FicusFileId, data: &[u8]) -> FsResult<()> {
-        let mut map = ChunkMap::empty(self.chunk_size);
-        for piece in chunks::split(data, self.chunk_size) {
-            let generation = self.next_unique()?;
-            let idx = map.chunks.len();
-            self.put_chunk(scope, file, &mut map, idx, piece, generation)?;
-        }
-        map.size = data.len() as u64;
-        self.write_named(scope, &file.hex(), &map.encode())?;
-        Ok(())
-    }
-
-    /// Grows the map with zero bytes to `new_size`: the short tail chunk is
-    /// re-padded and zero chunks appended. No-op when already that large.
-    fn zero_extend(
-        &self,
-        scope: &VnodeRef,
-        file: FicusFileId,
-        map: &mut ChunkMap,
-        new_size: u64,
-    ) -> FsResult<()> {
-        if new_size <= map.size {
+        let (mapv, header) = self.open_map(scope, file)?;
+        let end = offset
+            .checked_add(data.len() as u64)
+            .ok_or(FsError::FileTooBig)?;
+        let total = header.size.max(end);
+        if data.is_empty() && total == header.size {
             return Ok(());
         }
-        let csize = u64::from(map.chunk_size.max(1));
-        if let Some(tail) = map.chunks.last().copied() {
-            let tail_idx = map.chunks.len() - 1;
-            let want = csize.min(new_size - tail_idx as u64 * csize) as usize;
-            if want > tail.len as usize {
-                let mut bytes = self.read_chunk(scope, file, &tail)?;
-                bytes.resize(want, 0);
-                self.put_chunk(scope, file, map, tail_idx, &bytes, tail.generation)?;
+        let csize = u64::from(header.chunk_size);
+        let too_big = |_| FsError::FileTooBig;
+        // Chunks `[first, upto)` are touched; those past `header.count` are new.
+        let first = u32::try_from(offset.min(header.size) / csize).map_err(too_big)?;
+        let upto = u32::try_from((end - 1) / csize + 1).map_err(too_big)?;
+        let kept = upto.min(header.count).saturating_sub(first);
+        let mut window = self.read_entries(&mapv, &header, first, kept)?;
+        if upto > header.count {
+            let whole = mapv.read(&self.cred, 0, header.file_len() as usize)?;
+            let free = ChunkMap::decode(&whole)?.free_slots();
+            let fresh = (upto - first - kept) as usize;
+            window.extend(free.take(fresh).map(|slot| ChunkEntry {
+                slot,
+                len: 0,
+                digest: 0,
+            }));
+        }
+
+        // The window's bytes: zeros, under the old head and tail chunks
+        // where `data` does not cover them, under `data`.
+        let wstart = u64::from(first) * csize;
+        let wlen = (u64::from(upto) * csize).min(total) - wstart;
+        let wlen = usize::try_from(wlen).map_err(too_big)?;
+        let mut buf = Vec::new();
+        buf.try_reserve_exact(wlen).map_err(|_| FsError::NoSpace)?;
+        buf.resize(wlen, 0u8);
+        let extent = self.extent(scope, file, true)?;
+        for pos in BTreeSet::from([0, window.len() - 1]) {
+            let Some(old) = window.get(pos).filter(|e| e.len > 0) else {
+                continue;
+            };
+            let cstart = wstart + pos as u64 * csize;
+            if offset > cstart || end < cstart + u64::from(old.len) {
+                let bytes =
+                    self.read_slots(&extent, header.chunk_size, std::slice::from_ref(old))?;
+                let at = pos * csize as usize;
+                buf.get_mut(at..at + bytes.len())
+                    .ok_or(FsError::Io)?
+                    .copy_from_slice(&bytes);
             }
         }
-        while (map.chunks.len() as u64) * csize < new_size {
-            let cstart = map.chunks.len() as u64 * csize;
-            let clen = csize.min(new_size - cstart) as usize;
-            let generation = self.next_unique()?;
-            let idx = map.chunks.len();
-            self.put_chunk(scope, file, map, idx, &vec![0u8; clen], generation)?;
+        let at = (offset - wstart) as usize;
+        buf.get_mut(at..at + data.len())
+            .ok_or(FsError::Io)?
+            .copy_from_slice(data);
+
+        let placed: Vec<(u32, u64)> = (0u32..).zip(window.iter().map(|e| e.slot)).collect();
+        self.write_slots(&extent, header.chunk_size, &buf, &placed)?;
+        for (e, piece) in window.iter_mut().zip(buf.chunks(csize as usize)) {
+            e.len = piece.len() as u32;
+            e.digest = chunks::digest(piece);
         }
-        map.size = new_size;
-        Ok(())
+        mapv.write(
+            &self.cred,
+            chunks::entry_offset(first),
+            &chunks::encode_entries(&window),
+        )?;
+        if total != header.size {
+            let count = upto.max(header.count);
+            let grown = MapHeader {
+                size: total,
+                count,
+                ..header
+            };
+            mapv.write(&self.cred, 0, &grown.encode())?;
+        }
+        mapv.fsync(&self.cred)
     }
 
-    /// Reads file data (gathered across chunks).
+    /// Reads file data: the header, the entries of the chunks the range
+    /// covers, and those chunks' slots — nothing else of the map.
     pub fn read(&self, file: FicusFileId, offset: u64, len: usize) -> FsResult<Bytes> {
         let _g = self.big.lock();
         let scope = self.file_scope(file)?;
-        let map = self.load_map(&scope, file)?;
-        let end = map.size.min(offset.saturating_add(len as u64));
+        let (mapv, header) = self.open_map(&scope, file)?;
+        let end = header.size.min(offset.saturating_add(len as u64));
         if offset >= end {
             return Ok(Bytes::new());
         }
-        let csize = u64::from(map.chunk_size.max(1));
-        let first = (offset / csize) as usize;
-        let last = ((end - 1) / csize) as usize;
-        let mut out = Vec::with_capacity((end - offset) as usize);
-        for idx in first..=last {
-            let entry = *map.chunks.get(idx).ok_or(FsError::Io)?;
-            let bytes = self.read_chunk(&scope, file, &entry)?;
-            let cstart = idx as u64 * csize;
-            let s = offset.saturating_sub(cstart) as usize;
-            let e = ((end - cstart) as usize).min(bytes.len());
-            if let Some(piece) = bytes.get(s..e) {
-                out.extend_from_slice(piece);
-            }
-        }
+        let csize = u64::from(header.chunk_size);
+        let first = (offset / csize) as u32;
+        let last = ((end - 1) / csize) as u32;
+        let entries = self.read_entries(&mapv, &header, first, last - first + 1)?;
+        let extent = self.extent(&scope, file, false)?;
+        let mut out = self.read_slots(&extent, header.chunk_size, &entries)?;
+        let wstart = u64::from(first) * csize;
+        out.truncate((end - wstart) as usize);
+        out.drain(..(offset - wstart) as usize);
         Ok(Bytes::from(out))
     }
 
@@ -1161,46 +1237,14 @@ impl FicusPhysical {
     /// at this replica).
     ///
     /// Local writes modify chunks in place (read-modify-write of the
-    /// affected chunks plus an in-place map rewrite): like direct UFS
-    /// writes before chunking, they are not atomic under a crash — only
+    /// affected slots plus an in-place rewrite of their map entries): like
+    /// direct UFS writes, they are not atomic under a crash — only
     /// *propagated* versions carry the §3.2 commit guarantee.
     pub fn write(&self, file: FicusFileId, offset: u64, data: &[u8]) -> FsResult<usize> {
         let _g = self.big.lock();
         let scope = self.file_scope(file)?;
         if !data.is_empty() {
-            let mut map = self.load_map(&scope, file)?;
-            let csize = u64::from(map.chunk_size.max(1));
-            let end = offset + data.len() as u64;
-            // Zero-fill any gap below the write, then splice the data over
-            // the affected chunk range.
-            self.zero_extend(&scope, file, &mut map, offset)?;
-            let total = map.size.max(end);
-            let first = (offset / csize) as usize;
-            let last = ((end - 1) / csize) as usize;
-            for idx in first..=last {
-                let cstart = idx as u64 * csize;
-                let clen = csize.min(total - cstart) as usize;
-                let mut buf = match map.chunks.get(idx) {
-                    Some(e) => self.read_chunk(&scope, file, e)?,
-                    None => Vec::new(),
-                };
-                buf.resize(clen, 0);
-                let dstart = cstart.max(offset);
-                let dend = (cstart + clen as u64).min(end);
-                if dstart < dend {
-                    let di = (dstart - offset) as usize;
-                    let bi = (dstart - cstart) as usize;
-                    let n = (dend - dstart) as usize;
-                    buf[bi..bi + n].copy_from_slice(&data[di..di + n]);
-                }
-                let generation = match map.chunks.get(idx) {
-                    Some(e) => e.generation,
-                    None => self.next_unique()?,
-                };
-                self.put_chunk(&scope, file, &mut map, idx, &buf, generation)?;
-            }
-            map.size = total;
-            self.write_named(&scope, &file.hex(), &map.encode())?;
+            self.splice(&scope, file, offset, data)?;
         }
         self.bump_vv(file)?;
         Ok(data.len())
@@ -1211,27 +1255,31 @@ impl FicusPhysical {
         let _g = self.big.lock();
         let scope = self.file_scope(file)?;
         let mut map = self.load_map(&scope, file)?;
-        if size < map.size {
-            let csize = u64::from(map.chunk_size.max(1));
-            let keep = size.div_ceil(csize) as usize;
-            for e in map.chunks.drain(keep..) {
-                let _ = scope.remove(&self.cred, &chunk_name(file, e.generation));
-            }
-            if size > 0 {
-                let tail_idx = keep - 1;
-                let tail = map.chunks[tail_idx];
-                let tlen = (size - tail_idx as u64 * csize) as usize;
-                if tlen < tail.len as usize {
-                    let mut bytes = self.read_chunk(&scope, file, &tail)?;
-                    bytes.truncate(tlen);
-                    self.put_chunk(&scope, file, &mut map, tail_idx, &bytes, tail.generation)?;
-                }
-            }
+        if size > map.size {
+            self.splice(&scope, file, size, &[])?;
+        } else if size < map.size {
+            map.chunks
+                .truncate(size.div_ceil(u64::from(map.chunk_size)) as usize);
             map.size = size;
+            let header = map.header();
+            let tlen = header.chunk_len(header.count.saturating_sub(1));
+            if let Some(tail) = map.chunks.last_mut().filter(|t| tlen < t.len) {
+                let extent = self.extent(&scope, file, false)?;
+                let bytes = self.read_slots(&extent, map.chunk_size, std::slice::from_ref(tail))?;
+                tail.len = tlen;
+                tail.digest = chunks::digest(bytes.get(..tlen as usize).ok_or(FsError::Io)?);
+            }
             self.write_named(&scope, &file.hex(), &map.encode())?;
-        } else if size > map.size {
-            self.zero_extend(&scope, file, &mut map, size)?;
-            self.write_named(&scope, &file.hex(), &map.encode())?;
+            // Slots past the highest one still referenced hold nothing any
+            // map can reach: give their blocks back.
+            let used = map.chunks.iter().map(|c| c.slot.saturating_add(1)).max();
+            let keep = used.unwrap_or(0).saturating_mul(u64::from(map.chunk_size));
+            match self.extent(&scope, file, false) {
+                Ok(extent) if keep < extent.getattr(&self.cred)?.size => {
+                    extent.setattr(&self.cred, &SetAttr::size(keep))?;
+                }
+                _ => {}
+            }
         }
         self.bump_vv(file)?;
         Ok(())
@@ -1247,12 +1295,9 @@ impl FicusPhysical {
             let (scope, content, _) = self.dir_names(file, &loc)?;
             scope.lookup(&self.cred, &content)?.getattr(&self.cred)
         } else {
-            let map = self.load_map(&loc.parent_ufs, file)?;
-            let mut attr = loc
-                .parent_ufs
-                .lookup(&self.cred, &file.hex())?
-                .getattr(&self.cred)?;
-            attr.size = map.size;
+            let (map, header) = self.open_map(&loc.parent_ufs, file)?;
+            let mut attr = map.getattr(&self.cred)?;
+            attr.size = header.size;
             Ok(attr)
         }
     }
@@ -1270,17 +1315,20 @@ impl FicusPhysical {
     pub fn read_chunk_range(&self, file: FicusFileId, start: u32, count: u32) -> FsResult<Vec<u8>> {
         let _g = self.big.lock();
         let scope = self.file_scope(file)?;
-        let map = self.load_map(&scope, file)?;
-        let end = start.checked_add(count).ok_or(FsError::Invalid)? as usize;
-        let range = map
-            .chunks
-            .get(start as usize..end)
-            .ok_or(FsError::Invalid)?;
-        let mut out = Vec::new();
-        for e in range {
-            out.extend_from_slice(&self.read_chunk(&scope, file, e)?);
+        let (mapv, header) = self.open_map(&scope, file)?;
+        let end = start.checked_add(count).ok_or(FsError::Invalid)?;
+        if end > header.count {
+            return Err(FsError::Invalid);
         }
-        Ok(out)
+        if count == 0 {
+            return Ok(Vec::new());
+        }
+        let entries = self.read_entries(&mapv, &header, start, count)?;
+        self.read_slots(
+            &self.extent(&scope, file, false)?,
+            header.chunk_size,
+            &entries,
+        )
     }
 
     /// Counter snapshot for the chunked-storage machinery.
@@ -1326,18 +1374,20 @@ impl FicusPhysical {
     /// chunked, so only *dirty* chunks hit the disk (footnote 5's "update a
     /// few bytes of a large file" cost goes away).
     ///
-    /// Sequence: write every chunk whose bytes differ from the committed
-    /// map under a fresh generation and force it to disk; write the shadow
-    /// *map* (`<hex>.s`) and force it; atomically swap the map reference
-    /// (UFS rename); then persist the merged attributes. A crash before the
-    /// swap leaves the original map and all its chunks intact (recovery
-    /// discards the shadow map and sweeps unreferenced chunks); a crash
-    /// between swap and attribute write leaves the data newer than its
-    /// recorded vector, which a later propagation pass simply repeats.
+    /// Sequence: copy every chunk whose bytes differ from the committed
+    /// map into an extent slot that map does not reference and force the
+    /// extent to disk, once; write the shadow *map* (`<hex>.s`) and force
+    /// it; atomically swap the map reference (UFS rename); then persist the
+    /// merged attributes. A crash before the swap leaves the original map
+    /// and every slot it names intact (recovery discards the shadow map;
+    /// the slots the commit filled were never referenced and are simply
+    /// free); a crash between swap and attribute write leaves the data
+    /// newer than its recorded vector, which a later propagation pass
+    /// simply repeats.
     ///
     /// A *genuine* failure mid-commit (as opposed to an injected crash)
-    /// removes the shadow map and the fresh chunks before returning — a
-    /// failed rename must not leak its shadow until the next recovery.
+    /// removes the shadow map before returning — a failed rename must not
+    /// leak its shadow until the next recovery.
     pub fn apply_remote_version(
         &self,
         file: FicusFileId,
@@ -1355,33 +1405,21 @@ impl FicusPhysical {
         let scope = self.file_scope(file)?;
         let old_map = self.load_map(&scope, file)?;
         let armed = self.crash_plan.lock().is_some();
-        let mut fresh: Vec<u64> = Vec::new();
-        let new_map = match self.commit_chunked(&scope, file, &old_map, data, &mut fresh) {
-            Ok(m) => m,
-            Err(e) => {
-                // An injected crash models power loss: leave the debris for
-                // recovery to prove it cleans up. A real error cleans up
-                // here.
-                let injected = armed && self.crash_plan.lock().is_none();
-                if !injected {
-                    self.discard_commit_debris(&scope, file, &fresh);
-                    self.chunk_counters
-                        .commit_aborts
-                        .fetch_add(1, AtomicOrdering::Relaxed);
-                }
-                return Err(e);
+        if let Err(e) = self.commit_chunked(&scope, file, &old_map, data) {
+            // An injected crash models power loss: leave the debris for
+            // recovery to prove it cleans up. A real error cleans up here.
+            let injected = armed && self.crash_plan.lock().is_none();
+            if !injected {
+                let _ = scope.remove(&self.cred, &format!("{}{}", file.hex(), SHADOW_SUFFIX));
+                self.chunk_counters
+                    .commit_aborts
+                    .fetch_add(1, AtomicOrdering::Relaxed);
             }
-        };
+            return Err(e);
+        }
         self.chunk_counters
             .maps_committed
             .fetch_add(1, AtomicOrdering::Relaxed);
-        // The swap happened: generations only the old map referenced are
-        // garbage (best-effort; recovery sweeps stragglers).
-        for e in &old_map.chunks {
-            if !new_map.references(e.generation) {
-                let _ = scope.remove(&self.cred, &chunk_name(file, e.generation));
-            }
-        }
         if self.take_crash(CommitPoint::BeforeAttrWrite) {
             return Err(FsError::Io);
         }
@@ -1395,49 +1433,15 @@ impl FicusPhysical {
     }
 
     /// The data-moving half of [`FicusPhysical::apply_remote_version`]: up
-    /// to and including the atomic map swap. Fresh chunk generations are
-    /// recorded in `fresh` so the caller can clean up on genuine failure.
+    /// to and including the atomic map swap.
     fn commit_chunked(
         &self,
         scope: &VnodeRef,
         file: FicusFileId,
         old_map: &ChunkMap,
         data: &[u8],
-        fresh: &mut Vec<u64>,
-    ) -> FsResult<ChunkMap> {
-        let mut new_map = ChunkMap::empty(old_map.chunk_size);
-        new_map.size = data.len() as u64;
-        for (idx, piece) in chunks::split(data, old_map.chunk_size).iter().enumerate() {
-            let dg = chunks::digest(piece);
-            if self.delta_commit {
-                if let Some(e) = old_map.chunks.get(idx) {
-                    if e.len as usize == piece.len() && e.digest == dg {
-                        // Clean chunk: the committed bytes are already on
-                        // disk under a generation the old map protects.
-                        new_map.chunks.push(*e);
-                        self.chunk_counters
-                            .chunks_reused
-                            .fetch_add(1, AtomicOrdering::Relaxed);
-                        continue;
-                    }
-                }
-            }
-            let generation = self.next_unique()?;
-            if self.take_crash(CommitPoint::MidChunkWrite) {
-                // Power loss partway through a chunk write: a torn prefix
-                // exists under a generation no map references.
-                let torn = piece.get(..piece.len() / 2).unwrap_or_default();
-                let _ = self.write_chunk_file(scope, file, generation, torn, false);
-                return Err(FsError::Io);
-            }
-            self.write_chunk_file(scope, file, generation, piece, true)?;
-            fresh.push(generation);
-            new_map.chunks.push(ChunkEntry {
-                generation,
-                len: piece.len() as u32,
-                digest: dg,
-            });
-        }
+    ) -> FsResult<()> {
+        let new_map = self.place_chunks(scope, file, old_map, data)?;
         let shadow_name = format!("{}{}", file.hex(), SHADOW_SUFFIX);
         self.write_named(scope, &shadow_name, &new_map.encode())?;
         if self.take_crash(CommitPoint::BeforeMapSwap) {
@@ -1445,17 +1449,63 @@ impl FicusPhysical {
         }
         // The atomic point: one low-level directory reference changes.
         let peer = scope.clone();
-        scope.rename(&self.cred, &shadow_name, &peer, &file.hex())?;
-        Ok(new_map)
+        scope.rename(&self.cred, &shadow_name, &peer, &file.hex())
     }
 
-    /// Removes the debris of a genuinely failed commit: the shadow map and
-    /// every chunk written under a fresh generation.
-    fn discard_commit_debris(&self, scope: &VnodeRef, file: FicusFileId, fresh: &[u64]) {
-        let _ = scope.remove(&self.cred, &format!("{}{}", file.hex(), SHADOW_SUFFIX));
-        for &generation in fresh {
-            let _ = scope.remove(&self.cred, &chunk_name(file, generation));
+    /// Builds the map of `data` over `old_map`'s extent and makes its
+    /// chunks durable: a chunk `old_map` already holds (same index, length
+    /// and digest) keeps its slot; every other chunk is copied into the
+    /// lowest slot `old_map` does not reference, and the extent is fsynced
+    /// once. Nothing `old_map` references is overwritten, so the returned
+    /// map can be published or dropped freely.
+    fn place_chunks(
+        &self,
+        scope: &VnodeRef,
+        file: FicusFileId,
+        old_map: &ChunkMap,
+        data: &[u8],
+    ) -> FsResult<ChunkMap> {
+        let mut new_map = ChunkMap::empty(old_map.chunk_size);
+        new_map.size = data.len() as u64;
+        let mut free = old_map.free_slots();
+        let mut dirty: Vec<(u32, u64)> = Vec::new();
+        for (idx, piece) in (0u32..).zip(chunks::split(data, old_map.chunk_size)) {
+            let mut entry = ChunkEntry {
+                slot: 0,
+                len: piece.len() as u32,
+                digest: chunks::digest(piece),
+            };
+            let clean = old_map
+                .chunks
+                .get(idx as usize)
+                .filter(|e| self.delta_commit && e.len == entry.len && e.digest == entry.digest);
+            if let Some(e) = clean {
+                // The committed bytes are already on disk in a slot the old
+                // map protects.
+                entry.slot = e.slot;
+                self.chunk_counters
+                    .chunks_reused
+                    .fetch_add(1, AtomicOrdering::Relaxed);
+            } else {
+                entry.slot = free.next().ok_or(FsError::NoSpace)?;
+                dirty.push((idx, entry.slot));
+            }
+            new_map.chunks.push(entry);
         }
+        if let Some(&(idx, slot)) = dirty.first() {
+            let extent = self.extent(scope, file, true)?;
+            if self.take_crash(CommitPoint::MidChunkWrite) {
+                // Power loss partway through the first dirty chunk: a torn
+                // prefix sits in a slot no map references.
+                let csize = old_map.chunk_size as usize;
+                let torn = data.get(..idx as usize * csize + csize / 2).unwrap_or(data);
+                let _ = self.write_slots(&extent, old_map.chunk_size, torn, &[(idx, slot)]);
+                return Err(FsError::Io);
+            }
+            self.write_slots(&extent, old_map.chunk_size, data, &dirty)?;
+            extent.fsync(&self.cred)?;
+        }
+        Ok(new_map)
     }
 
     /// Joins `remote_vv` into a file whose remote content proved
@@ -1534,7 +1584,10 @@ impl FicusPhysical {
             StorageLayout::Tree => parent_loc.own_ufs.clone().ok_or(FsError::NotDir)?,
             StorageLayout::Flat => self.base.clone(),
         };
-        self.store_chunked(&scope, file, data)?;
+        // No older version needs protecting, so the map is written in
+        // place; the extent is durable before any map names it.
+        let map = self.place_chunks(&scope, file, &ChunkMap::empty(self.chunk_size), data)?;
+        self.write_named(&scope, &file.hex(), &map.encode())?;
         let attrs = ReplAttrs {
             kind,
             vv: vv.clone(),
@@ -1690,23 +1743,11 @@ impl FicusPhysical {
             return Ok(()); // directories are not orphaned
         }
         let orphanage = self.base.lookup(&self.cred, ORPHANAGE)?;
-        // The map still names the chunks, so move them first (while it is
-        // readable), then the map and aux. Orphaned data stays whole.
-        if let Ok(map) = self.load_map(&loc.parent_ufs, file) {
-            for e in &map.chunks {
-                let name = chunk_name(file, e.generation);
-                let _ = loc.parent_ufs.rename(&self.cred, &name, &orphanage, &name);
-            }
+        // Extent, map and aux move together: orphaned data stays whole.
+        for suffix in [EXTENT_SUFFIX, "", AUX_SUFFIX] {
+            let name = format!("{}{suffix}", file.hex());
+            let _ = loc.parent_ufs.rename(&self.cred, &name, &orphanage, &name);
         }
-        let _ = loc
-            .parent_ufs
-            .rename(&self.cred, &file.hex(), &orphanage, &file.hex());
-        let _ = loc.parent_ufs.rename(
-            &self.cred,
-            &format!("{}{}", file.hex(), AUX_SUFFIX),
-            &orphanage,
-            &format!("{}{}", file.hex(), AUX_SUFFIX),
-        );
         self.index.lock().remove(&file);
         Ok(())
     }
@@ -2031,7 +2072,7 @@ impl FicusPhysical {
     // --- recovery ------------------------------------------------------------------------
 
     /// Rebuilds the location index by walking the UFS storage, discards
-    /// shadow maps and unreferenced chunks, and restores the id counter.
+    /// shadow maps and map-less extents, and restores the id counter.
     ///
     /// Scan-level failures (a directory that cannot be read, a subtree that
     /// cannot be entered) are hard errors — a half-built index would
@@ -2041,27 +2082,14 @@ impl FicusPhysical {
         let _g = self.big.lock();
         self.load_seq()?;
         self.index.lock().clear();
-        match self.layout {
-            StorageLayout::Tree => {
-                let base = self.base.clone();
-                self.scan_tree(&base)
-            }
-            StorageLayout::Flat => {
-                let base = self.base.clone();
-                self.scan_scope(&base, false)
-            }
-        }
-    }
-
-    fn scan_tree(&self, scope: &VnodeRef) -> FsResult<()> {
-        self.scan_scope(scope, true)
+        self.scan_scope(&self.base, self.layout == StorageLayout::Tree)
     }
 
     /// Walks one UFS directory of the volume, classifying every name
     /// structurally ([`ScanName`]) and acting per kind. `recurse` is true
     /// for the tree layout (child directories are UFS subtrees).
     fn scan_scope(&self, scope: &VnodeRef, recurse: bool) -> FsResult<()> {
-        let mut chunks_seen: Vec<(FicusFileId, u64, String)> = Vec::new();
+        let mut extents_seen: Vec<(FicusFileId, String)> = Vec::new();
         let mut data_seen: BTreeSet<FicusFileId> = BTreeSet::new();
         let mut cookie = 0;
         loop {
@@ -2081,7 +2109,7 @@ impl FicusPhysical {
                                     own_ufs: Some(own.clone()),
                                 },
                             );
-                            self.scan_tree(&own)?;
+                            self.scan_scope(&own, recurse)?;
                         }
                     }
                     ScanName::FlatDir(file) => {
@@ -2095,10 +2123,14 @@ impl FicusPhysical {
                             );
                         }
                     }
-                    ScanName::Shadow => self.discard_shadow(scope, &de.name),
-                    ScanName::Chunk(file, generation) => {
-                        chunks_seen.push((file, generation, de.name));
+                    ScanName::Shadow => {
+                        self.discard_debris(
+                            scope,
+                            &de.name,
+                            &self.chunk_counters.shadows_discarded,
+                        );
                     }
+                    ScanName::Extent(file) => extents_seen.push((file, de.name)),
                     ScanName::Data(file) => {
                         data_seen.insert(file);
                         // In the flat layout a directory id's `.dir` entry
@@ -2111,61 +2143,32 @@ impl FicusPhysical {
                 }
             }
         }
-        self.sweep_orphan_chunks(scope, &data_seen, chunks_seen);
+        // An extent whose map never appeared is a crashed adoption: no map
+        // can ever reference its slots.
+        for (file, name) in extents_seen {
+            if !data_seen.contains(&file) {
+                self.discard_debris(scope, &name, &self.chunk_counters.extents_discarded);
+            }
+        }
         Ok(())
     }
 
-    /// Discards a shadow map left by a crashed commit ("the original
-    /// replica is retained during recovery and the shadow discarded").
+    /// Discards debris of a crashed commit or adoption ("the original
+    /// replica is retained during recovery and the shadow discarded"),
+    /// counting it in `discarded`.
     ///
-    /// A shadow that *cannot* be discarded is no longer silently ignored —
-    /// it would otherwise survive every recovery unreported. The failure is
-    /// counted in [`ChunkStats::shadow_discard_failures`].
-    fn discard_shadow(&self, scope: &VnodeRef, name: &str) {
+    /// Debris that *cannot* be discarded is not silently ignored — it would
+    /// otherwise survive every recovery unreported. The failure is counted
+    /// in [`ChunkStats::shadow_discard_failures`].
+    fn discard_debris(&self, scope: &VnodeRef, name: &str, discarded: &AtomicU64) {
         match scope.remove(&self.cred, name) {
             Ok(()) => {
-                self.chunk_counters
-                    .shadows_discarded
-                    .fetch_add(1, AtomicOrdering::Relaxed);
+                discarded.fetch_add(1, AtomicOrdering::Relaxed);
             }
             Err(FsError::NotFound) => {}
             Err(_) => {
                 self.chunk_counters
                     .shadow_discard_failures
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-            }
-        }
-    }
-
-    /// Removes chunk files whose generation the owner's committed map does
-    /// not reference — debris of a crashed commit. A map that fails to
-    /// decode keeps every chunk: recovery must never destroy data it cannot
-    /// prove orphaned (local in-place map writes are not crash-atomic).
-    fn sweep_orphan_chunks(
-        &self,
-        scope: &VnodeRef,
-        data_seen: &BTreeSet<FicusFileId>,
-        chunks_seen: Vec<(FicusFileId, u64, String)>,
-    ) {
-        if chunks_seen.is_empty() {
-            return;
-        }
-        let owners: BTreeSet<FicusFileId> = chunks_seen.iter().map(|c| c.0).collect();
-        let mut maps: HashMap<FicusFileId, Option<ChunkMap>> = HashMap::new();
-        for &file in &owners {
-            if data_seen.contains(&file) {
-                maps.insert(file, self.load_map(scope, file).ok());
-            }
-        }
-        for (file, generation, name) in chunks_seen {
-            let referenced = match maps.get(&file) {
-                Some(Some(map)) => map.references(generation),
-                Some(None) => true, // undecodable map: keep everything
-                None => false,      // no map at all: nothing references it
-            };
-            if !referenced && scope.remove(&self.cred, &name).is_ok() {
-                self.chunk_counters
-                    .orphan_chunks_removed
                     .fetch_add(1, AtomicOrdering::Relaxed);
             }
         }
@@ -2189,8 +2192,8 @@ enum ScanName {
     Shadow,
     /// `<hex>.c<replica>` — stashed conflict sibling.
     Stash,
-    /// `<hex>.k<generation:016x>` — one chunk of a file's contents.
-    Chunk(FicusFileId, u64),
+    /// `<hex>.x` — the extent holding a file's chunk slots.
+    Extent(FicusFileId),
     /// `<hex>` — a file's chunk map.
     Data(FicusFileId),
     /// Not a name this layer writes.
@@ -2215,17 +2218,11 @@ fn classify_scan_name(name: &str) -> ScanName {
         "dir" => ScanName::FlatDir(file),
         "a" => ScanName::Aux,
         "s" => ScanName::Shadow,
+        "x" => ScanName::Extent(file),
         _ => {
             if let Some(rep) = suffix.strip_prefix('c') {
                 if rep.parse::<u32>().is_ok() {
                     return ScanName::Stash;
-                }
-            }
-            if let Some(g) = suffix.strip_prefix('k') {
-                if g.len() == 16 {
-                    if let Ok(generation) = u64::from_str_radix(g, 16) {
-                        return ScanName::Chunk(file, generation);
-                    }
                 }
             }
             ScanName::Foreign

@@ -817,7 +817,9 @@ fn absorb_identical_version_joins_histories_without_an_update() {
 
 // --- chunked-commit crash matrix (DESIGN.md §4.13) --------------------------
 
-use crate::chunks::CommitPoint;
+use crate::chunks::{ChunkMap, CommitPoint};
+use ficus_vnode::measure::{MeasureLayer, Op, OpCounters};
+use ficus_vnode::VnodeRef;
 
 /// A volume on a shared UFS handle so the test can drop the physical layer
 /// and remount it (the recovery pass) over the same disk state.
@@ -856,12 +858,50 @@ fn remount(ufs: &Arc<dyn FileSystem>, layout: StorageLayout) -> Arc<FicusPhysica
     .unwrap()
 }
 
+/// The UFS directory holding the volume root's objects (both layouts keep
+/// the root directory's files there).
+fn base_of(ufs: &Arc<dyn FileSystem>) -> VnodeRef {
+    ufs.root().lookup(&Credentials::root(), "vol").unwrap()
+}
+
+/// The raw extent object of a root-directory file.
+fn extent_of(ufs: &Arc<dyn FileSystem>, f: FicusFileId) -> VnodeRef {
+    base_of(ufs)
+        .lookup(&Credentials::root(), &format!("{}.x", f.hex()))
+        .unwrap()
+}
+
+/// The bytes each of `map`'s slots holds on the raw extent, in map order.
+fn slot_bytes(ufs: &Arc<dyn FileSystem>, f: FicusFileId, map: &ChunkMap) -> Vec<Vec<u8>> {
+    let extent = extent_of(ufs, f);
+    map.chunks
+        .iter()
+        .map(|c| {
+            let at = c.slot * u64::from(map.chunk_size);
+            extent
+                .read(&Credentials::root(), at, c.len as usize)
+                .unwrap()
+                .to_vec()
+        })
+        .collect()
+}
+
+fn slots(map: &ChunkMap) -> Vec<u64> {
+    map.chunks.iter().map(|c| c.slot).collect()
+}
+
+fn pattern(len: usize, salt: u32) -> Vec<u8> {
+    (0..len as u32).map(|i| ((i ^ salt) % 251) as u8).collect()
+}
+
 #[test]
 fn commit_crash_matrix_original_intact_or_new_complete() {
     // A crash at every point of the chunked commit, in both layouts. The
     // §3.2 guarantee: after remount the file reads as the original or as
-    // the complete new version — never a torn mixture — and recovery has
-    // removed every shadow map and unreferenced chunk the crash left.
+    // the complete new version — never a torn mixture. There is no debris
+    // to sweep beyond the shadow map: whatever the crashed commit wrote
+    // went into slots the committed map does not reference, so every slot
+    // that map names is byte-identical to before the crash.
     for layout in [StorageLayout::Tree, StorageLayout::Flat] {
         for at in [
             CommitPoint::MidChunkWrite,
@@ -870,12 +910,14 @@ fn commit_crash_matrix_original_intact_or_new_complete() {
         ] {
             let (ufs, phys) = crash_world(layout);
             let f = phys.create(ROOT_FILE, "f", VnodeType::Regular).unwrap();
-            let original: Vec<u8> = (0..5 * 4096u32).map(|i| (i % 251) as u8).collect();
+            let original = pattern(5 * 4096, 0);
             phys.write(f, 0, &original).unwrap();
             let mut new_data = original.clone();
             new_data[4096..4200].fill(0xEE);
             let mut vv = phys.file_vv(f).unwrap();
             vv.increment(2);
+            let map_before = phys.chunk_map(f).unwrap();
+            let bytes_before = slot_bytes(&ufs, f, &map_before);
 
             phys.arm_commit_crash(at);
             assert_eq!(
@@ -887,53 +929,51 @@ fn commit_crash_matrix_original_intact_or_new_complete() {
 
             let phys2 = remount(&ufs, layout);
             let got = phys2.read(f, 0, new_data.len() + 16).unwrap();
+            let map_after = phys2.chunk_map(f).unwrap();
+            let stats = phys2.chunk_stats();
             match at {
-                // Crashed before the map swap: the original governs.
+                // Crashed before the map swap: the original governs, and
+                // the torn or complete dirty chunk sits past every slot the
+                // map names.
                 CommitPoint::MidChunkWrite | CommitPoint::BeforeMapSwap => {
-                    assert_eq!(&got[..], &original[..], "{layout:?}/{at:?}")
+                    assert_eq!(&got[..], &original[..], "{layout:?}/{at:?}");
+                    assert_eq!(map_after, map_before, "{layout:?}/{at:?}");
+                    let size = extent_of(&ufs, f)
+                        .getattr(&Credentials::root())
+                        .unwrap()
+                        .size;
+                    assert!(size > 5 * 4096, "{layout:?}/{at:?}: dirty chunk in slot 5");
                 }
                 // The swap is the commit point: past it the new version is
                 // complete even though the attributes never made it out.
                 CommitPoint::BeforeAttrWrite => {
-                    assert_eq!(&got[..], &new_data[..], "{layout:?}/{at:?}")
+                    assert_eq!(&got[..], &new_data[..], "{layout:?}/{at:?}");
+                    assert_eq!(slots(&map_after), vec![0, 5, 2, 3, 4], "{layout:?}/{at:?}");
                 }
             }
+            // Every slot the old map named still holds the old bytes.
+            assert_eq!(
+                slot_bytes(&ufs, f, &map_before),
+                bytes_before,
+                "{layout:?}/{at:?}"
+            );
+            let shadows = u64::from(at == CommitPoint::BeforeMapSwap);
+            assert_eq!(stats.shadows_discarded, shadows, "{layout:?}/{at:?}");
+            assert_eq!(stats.extents_discarded, 0, "{layout:?}/{at:?}");
+            assert_eq!(stats.shadow_discard_failures, 0, "{layout:?}/{at:?}");
 
-            let stats = phys2.chunk_stats();
-            match at {
-                CommitPoint::MidChunkWrite => {
-                    // The torn chunk is unreferenced debris.
-                    assert!(
-                        stats.orphan_chunks_removed >= 1,
-                        "{layout:?}/{at:?}: {stats:?}"
-                    );
-                    assert_eq!(stats.shadows_discarded, 0, "{layout:?}/{at:?}: {stats:?}");
-                }
-                CommitPoint::BeforeMapSwap => {
-                    // Both the shadow map and its fresh chunk are debris.
-                    assert_eq!(stats.shadows_discarded, 1, "{layout:?}/{at:?}: {stats:?}");
-                    assert!(
-                        stats.orphan_chunks_removed >= 1,
-                        "{layout:?}/{at:?}: {stats:?}"
-                    );
-                }
-                CommitPoint::BeforeAttrWrite => {
-                    // The commit finished its storage work; nothing to sweep.
-                    assert_eq!(stats.shadows_discarded, 0, "{layout:?}/{at:?}: {stats:?}");
-                    assert_eq!(
-                        stats.orphan_chunks_removed, 0,
-                        "{layout:?}/{at:?}: {stats:?}"
-                    );
-                }
-            }
-
-            // The interrupted propagation simply retries and completes.
+            // The interrupted propagation simply retries and completes,
+            // into the same lowest free slot.
             phys2.apply_remote_version(f, &vv, &new_data).unwrap();
             assert_eq!(
                 &phys2.read(f, 0, new_data.len()).unwrap()[..],
                 &new_data[..]
             );
             assert!(phys2.file_vv(f).unwrap().covers(&vv));
+            let retried = phys2.chunk_map(f).unwrap();
+            if at != CommitPoint::BeforeAttrWrite {
+                assert_eq!(slots(&retried), vec![0, 5, 2, 3, 4], "{layout:?}/{at:?}");
+            }
         }
     }
 }
@@ -941,8 +981,7 @@ fn commit_crash_matrix_original_intact_or_new_complete() {
 #[test]
 fn genuine_commit_error_cleans_up_without_recovery() {
     // A commit that fails for a real reason (not an injected power loss)
-    // discards its own debris immediately: no shadow, no fresh chunks, and
-    // the abort is counted.
+    // discards its own shadow immediately, and the abort is counted.
     let (_ufs, phys) = crash_world(StorageLayout::Tree);
     let f = phys.create(ROOT_FILE, "f", VnodeType::Regular).unwrap();
     phys.write(f, 0, &vec![1u8; 3 * 4096]).unwrap();
@@ -960,8 +999,8 @@ fn genuine_commit_error_cleans_up_without_recovery() {
 #[test]
 fn zero_length_commit_round_trips() {
     // An empty new version: the shadow map is a zero-chunk map written
-    // through `write_named`'s empty-payload path, and every chunk of the
-    // old contents is released.
+    // through `write_named`'s empty-payload path, and every slot of the
+    // old contents is free.
     for layout in [StorageLayout::Tree, StorageLayout::Flat] {
         let (ufs, phys) = crash_world(layout);
         let f = phys
@@ -979,12 +1018,368 @@ fn zero_length_commit_round_trips() {
         let map = phys.chunk_map(f).unwrap();
         assert_eq!((map.size, map.chunks.len()), (0, 0));
 
-        // Survives a remount unchanged, with nothing for recovery to sweep.
+        // Survives a remount unchanged, with nothing for recovery to do.
         drop(phys);
         let phys2 = remount(&ufs, layout);
         assert_eq!(phys2.read(f, 0, 64).unwrap().len(), 0);
         let stats = phys2.chunk_stats();
         assert_eq!(stats.shadows_discarded, 0);
-        assert_eq!(stats.orphan_chunks_removed, 0);
+        assert_eq!(stats.extents_discarded, 0);
+    }
+}
+
+// --- slots in one extent: shape, cost and failure ---------------------------
+
+/// A volume over a measured UFS: the disk for block counts, the counters
+/// for the vnode calls the physical layer makes on its storage.
+fn measured_world() -> (Disk, Arc<OpCounters>, Arc<FicusPhysical>) {
+    let disk = Disk::new(Geometry::medium());
+    let ufs = Ufs::format(disk.clone(), UfsParams::default()).unwrap();
+    let (storage, calls) = MeasureLayer::new(Arc::new(ufs) as Arc<dyn FileSystem>);
+    let phys = FicusPhysical::create_volume(
+        storage as Arc<dyn FileSystem>,
+        "vol",
+        VolumeName::new(1, 1),
+        ReplicaId(1),
+        &[1, 2],
+        clock(),
+        PhysParams::default(),
+    )
+    .unwrap();
+    (disk, calls, phys)
+}
+
+#[test]
+fn free_slots_are_taken_lowest_first() {
+    let (_ufs, phys) = crash_world(StorageLayout::Tree);
+    let f = phys.create(ROOT_FILE, "f", VnodeType::Regular).unwrap();
+    let mut data = pattern(5 * 4096, 1);
+    phys.write(f, 0, &data).unwrap();
+    assert_eq!(slots(&phys.chunk_map(f).unwrap()), vec![0, 1, 2, 3, 4]);
+    let mut vv = phys.file_vv(f).unwrap();
+
+    // Two dirty chunks go past the slots the committed map holds...
+    data[4096] ^= 1;
+    data[3 * 4096] ^= 1;
+    vv.increment(2);
+    phys.apply_remote_version(f, &vv, &data).unwrap();
+    assert_eq!(slots(&phys.chunk_map(f).unwrap()), vec![0, 5, 2, 6, 4]);
+    // ...which frees slots 1 and 3 for the next commit, lowest first,
+    // whatever order the chunks come in.
+    data[4 * 4096] ^= 1;
+    data[0] ^= 1;
+    vv.increment(2);
+    phys.apply_remote_version(f, &vv, &data).unwrap();
+    assert_eq!(slots(&phys.chunk_map(f).unwrap()), vec![1, 5, 2, 6, 3]);
+    // Local growth takes the lowest free slots too.
+    phys.write(f, 5 * 4096, &[7u8; 4097]).unwrap();
+    assert_eq!(
+        slots(&phys.chunk_map(f).unwrap()),
+        vec![1, 5, 2, 6, 3, 0, 4]
+    );
+    data.extend_from_slice(&[7u8; 4097]);
+    assert_eq!(&phys.read(f, 0, data.len()).unwrap()[..], &data[..]);
+}
+
+#[test]
+fn growth_truncate_and_zero_extend_round_trip_through_slots() {
+    for layout in [StorageLayout::Tree, StorageLayout::Flat] {
+        let (ufs, phys) = crash_world(layout);
+        let f = phys.create(ROOT_FILE, "f", VnodeType::Regular).unwrap();
+        let mut model: Vec<u8> = Vec::new();
+        let check = |model: &[u8]| {
+            assert_eq!(phys.storage_attr(f).unwrap().size, model.len() as u64);
+            assert_eq!(&phys.read(f, 0, model.len() + 9).unwrap()[..], model);
+            let map = phys.chunk_map(f).unwrap();
+            assert_eq!(ChunkMap::decode(&map.encode()).unwrap(), map);
+            // An unaligned read through the middle agrees with the model.
+            if model.len() > 5000 {
+                let got = phys.read(f, 4000, 3000).unwrap();
+                assert_eq!(&got[..], &model[4000..model.len().min(7000)]);
+            }
+        };
+
+        // Growth in pieces, the last one unaligned.
+        for piece in [pattern(4096, 2), pattern(6000, 3), pattern(10, 4)] {
+            phys.write(f, model.len() as u64, &piece).unwrap();
+            model.extend_from_slice(&piece);
+            check(&model);
+        }
+        // An overwrite inside the file rewrites chunks where they lie.
+        let before = slots(&phys.chunk_map(f).unwrap());
+        phys.write(f, 4090, &[0xAB; 20]).unwrap();
+        model[4090..4110].fill(0xAB);
+        check(&model);
+        assert_eq!(slots(&phys.chunk_map(f).unwrap()), before);
+        // Growth inside the tail chunk needs no new slot.
+        phys.write(f, model.len() as u64 - 2, &[0xCD; 50]).unwrap();
+        model.truncate(model.len() - 2);
+        model.extend_from_slice(&[0xCD; 50]);
+        check(&model);
+        assert_eq!(slots(&phys.chunk_map(f).unwrap()), before);
+
+        // A write past the end zero-fills the gap.
+        phys.write(f, 20_000, b"island").unwrap();
+        model.resize(20_000, 0);
+        model.extend_from_slice(b"island");
+        check(&model);
+        // Truncate longer zero-extends; shorter cuts mid-chunk.
+        phys.truncate(f, 30_000).unwrap();
+        model.resize(30_000, 0);
+        check(&model);
+        phys.truncate(f, 5000).unwrap();
+        model.truncate(5000);
+        check(&model);
+        let extent = extent_of(&ufs, f);
+        assert_eq!(
+            extent.getattr(&Credentials::root()).unwrap().size,
+            2 * 4096,
+            "slots past the last referenced one are given back"
+        );
+        // Regrowth over the cut reads zeros, not the bytes cut away.
+        phys.truncate(f, 9000).unwrap();
+        model.resize(9000, 0);
+        check(&model);
+
+        // To zero and back: the extent empties and the slots are reused
+        // from the bottom.
+        phys.truncate(f, 0).unwrap();
+        model.clear();
+        check(&model);
+        assert_eq!(extent.getattr(&Credentials::root()).unwrap().size, 0);
+        let rewrite = pattern(3 * 4096 + 1, 5);
+        phys.write(f, 0, &rewrite).unwrap();
+        model = rewrite;
+        check(&model);
+        assert_eq!(slots(&phys.chunk_map(f).unwrap()), vec![0, 1, 2, 3]);
+
+        // All of it survives a remount.
+        drop(phys);
+        let phys2 = remount(&ufs, layout);
+        assert_eq!(&phys2.read(f, 0, model.len()).unwrap()[..], &model[..]);
+    }
+}
+
+#[test]
+fn scope_directory_does_not_grow_with_file_size() {
+    let (ufs, phys) = crash_world(StorageLayout::Tree);
+    let names = |ufs: &Arc<dyn FileSystem>| {
+        base_of(ufs)
+            .readdir(&Credentials::root(), 0, 10_000)
+            .unwrap()
+            .len()
+    };
+    let small = phys.create(ROOT_FILE, "small", VnodeType::Regular).unwrap();
+    phys.write(small, 0, b"x").unwrap();
+    let with_small = names(&ufs);
+    let big = phys.create(ROOT_FILE, "big", VnodeType::Regular).unwrap();
+    phys.write(big, 0, &pattern(600 * 4096, 6)).unwrap();
+    // Map, extent, aux — whatever the size.
+    assert_eq!(names(&ufs), with_small + 3);
+    // And a commit leaves no name behind.
+    let mut vv = phys.file_vv(big).unwrap();
+    vv.increment(2);
+    phys.apply_remote_version(big, &vv, &pattern(600 * 4096, 7))
+        .unwrap();
+    assert_eq!(names(&ufs), with_small + 3);
+}
+
+#[test]
+fn whole_file_store_is_linear_in_block_writes() {
+    // Adoption writes the extent with one UFS call per contiguous slot run
+    // and fsyncs it once, so the cost per MiB does not depend on the size.
+    let cost = |mib: usize| {
+        let (disk, calls, phys) = measured_world();
+        let data = pattern(mib << 20, mib as u32);
+        let before = disk.stats();
+        calls.reset();
+        phys.adopt_file(
+            ROOT_FILE,
+            FicusFileId::new(2, 1),
+            VnodeType::Regular,
+            &VersionVector::single(2),
+            &data,
+        )
+        .unwrap();
+        // One write for the extent, one each for the map and the aux file.
+        assert_eq!(calls.get(Op::Write), 3, "{mib} MiB");
+        assert_eq!(calls.get(Op::Fsync), 3, "{mib} MiB: extent, map, aux");
+        disk.stats().since(before).writes as f64
+    };
+    let (w1, w4, w16) = (cost(1), cost(4), cost(16));
+    for (small, large) in [(w1, w4), (w4, w16)] {
+        let ratio = large / small;
+        assert!(
+            (ratio - 4.0).abs() <= 0.2,
+            "4x the bytes must cost 4x the block writes within 5 %: {w1} {w4} {w16}"
+        );
+    }
+    // Data block + allocation bitmap + block pointer per 4 KiB, and little
+    // else: under 3.2x the data blocks.
+    assert!(w16 <= 3.2 * 4096.0, "16 MiB store wrote {w16} blocks");
+}
+
+#[test]
+fn delta_commit_costs_its_dirty_chunks_and_the_map() {
+    // A k-chunk delta commit of an n-chunk file writes k data blocks, the
+    // shadow map, and a constant — and makes the same handful of UFS calls
+    // whatever k is: the extent is fsynced once, never per chunk.
+    let n = 1024usize;
+    let commit = |k: usize| {
+        let (disk, calls, phys) = measured_world();
+        let f = phys.create(ROOT_FILE, "f", VnodeType::Regular).unwrap();
+        let mut data = pattern(n * 4096, 8);
+        phys.write(f, 0, &data).unwrap();
+        let mut vv = phys.file_vv(f).unwrap();
+        let mut cost = (0, 0, 0);
+        // The first commit grows the extent by k slots; the second lands in
+        // the k slots the first one freed and is the steady state measured.
+        for round in 1..=2u8 {
+            for chunk in 0..k {
+                data[(100 + chunk) * 4096 + 5] = round;
+            }
+            vv.increment(2);
+            phys.storage().sync().unwrap();
+            let before = disk.stats();
+            calls.reset();
+            phys.apply_remote_version(f, &vv, &data).unwrap();
+            cost = (
+                disk.stats().since(before).writes,
+                calls.get(Op::Fsync),
+                calls.get(Op::Write),
+            );
+        }
+        assert_eq!(&phys.read(f, 0, data.len()).unwrap()[..], &data[..]);
+        cost
+    };
+    let (w16, fsyncs16, writes16) = commit(16);
+    let (w48, fsyncs48, writes48) = commit(48);
+    // Extent, shadow map, aux file.
+    assert_eq!((fsyncs16, fsyncs48), (3, 3));
+    // One contiguous run of dirty chunks in one contiguous run of slots.
+    assert_eq!((writes16, writes48), (3, 3));
+    // Each further dirty chunk costs exactly its own block.
+    assert_eq!(w48 - w16, 32);
+    // 1024 entries of 20 bytes are a 6-block map, each block allocated,
+    // written, and its predecessor freed; the constant is the shadow's
+    // create and rename in the scope directory plus the aux file.
+    let map_blocks = (17 + 20 * n as u64).div_ceil(4096);
+    assert!(
+        w16 <= 16 + 4 * map_blocks + 32,
+        "16-chunk delta wrote {w16} blocks"
+    );
+}
+
+#[test]
+fn torn_extent_is_an_error_never_short_data() {
+    let (ufs, phys) = crash_world(StorageLayout::Tree);
+    let f = phys.create(ROOT_FILE, "f", VnodeType::Regular).unwrap();
+    let data = pattern(8 * 4096, 9);
+    phys.write(f, 0, &data).unwrap();
+    // The extent loses its last two and a half slots under a live map.
+    extent_of(&ufs, f)
+        .setattr(
+            &Credentials::root(),
+            &ficus_vnode::SetAttr::size(5 * 4096 + 2048),
+        )
+        .unwrap();
+
+    // Slots still whole read normally.
+    assert_eq!(&phys.read(f, 4096, 8192).unwrap()[..], &data[4096..12288]);
+    // Anything touching a torn or missing slot fails — through the read
+    // path, the `;f;blk;` control read, and a whole-file read alike.
+    assert_eq!(phys.read(f, 5 * 4096, 10).unwrap_err(), FsError::Io);
+    assert_eq!(phys.read(f, 7 * 4096, 10).unwrap_err(), FsError::Io);
+    assert_eq!(phys.read(f, 0, data.len()).unwrap_err(), FsError::Io);
+    assert_eq!(phys.read_chunk_range(f, 4, 2).unwrap_err(), FsError::Io);
+    let cred = Credentials::root();
+    let root = PhysFs::new(Arc::clone(&phys)).root();
+    let blk = root.lookup(&cred, &format!(";f;blk;{};00000006;00000001", f.hex()));
+    assert_eq!(blk.err(), Some(FsError::Io));
+    // An overwrite that must read a torn chunk first fails too.
+    assert_eq!(phys.write(f, 6 * 4096 + 1, b"x").unwrap_err(), FsError::Io);
+
+    // A map whose extent vanished altogether is torn, not empty.
+    base_of(&ufs)
+        .remove(&cred, &format!("{}.x", f.hex()))
+        .unwrap();
+    assert_eq!(phys.read(f, 0, 10).unwrap_err(), FsError::Io);
+}
+
+#[test]
+fn recovery_discards_an_extent_with_no_map() {
+    for layout in [StorageLayout::Tree, StorageLayout::Flat] {
+        let (ufs, phys) = crash_world(layout);
+        let keep = phys.create(ROOT_FILE, "keep", VnodeType::Regular).unwrap();
+        phys.write(keep, 0, &pattern(3 * 4096, 10)).unwrap();
+        // An adoption that loses power while filling its extent: slots
+        // written, no map yet.
+        let ghost = FicusFileId::new(2, 7);
+        phys.arm_commit_crash(CommitPoint::MidChunkWrite);
+        let crashed = phys.adopt_file(
+            ROOT_FILE,
+            ghost,
+            VnodeType::Regular,
+            &VersionVector::single(2),
+            &pattern(2 * 4096, 11),
+        );
+        assert_eq!(crashed.unwrap_err(), FsError::Io);
+        let cred = Credentials::root();
+        let extent_name = format!("{}.x", ghost.hex());
+        assert!(base_of(&ufs).lookup(&cred, &extent_name).is_ok());
+        drop(phys);
+
+        let phys2 = remount(&ufs, layout);
+        assert_eq!(
+            base_of(&ufs).lookup(&cred, &extent_name).err(),
+            Some(FsError::NotFound)
+        );
+        let stats = phys2.chunk_stats();
+        assert_eq!(stats.extents_discarded, 1, "{layout:?}: {stats:?}");
+        assert_eq!(stats.shadows_discarded, 0, "{layout:?}: {stats:?}");
+        // An extent that has its map is, of course, kept.
+        assert_eq!(
+            &phys2.read(keep, 0, 3 * 4096).unwrap()[..],
+            &pattern(3 * 4096, 10)[..]
+        );
+        // The adoption retries cleanly.
+        phys2
+            .adopt_file(
+                ROOT_FILE,
+                ghost,
+                VnodeType::Regular,
+                &VersionVector::single(2),
+                &pattern(2 * 4096, 11),
+            )
+            .unwrap();
+        assert_eq!(
+            &phys2.read(ghost, 0, 2 * 4096).unwrap()[..],
+            &pattern(2 * 4096, 11)[..]
+        );
+    }
+}
+
+#[test]
+fn scan_names_classify_structurally() {
+    use super::{classify_scan_name, ScanName};
+    let f = FicusFileId::new(3, 0x2a);
+    let hex = f.hex();
+    assert_eq!(classify_scan_name(&hex), ScanName::Data(f));
+    assert_eq!(classify_scan_name(&format!("{hex}.x")), ScanName::Extent(f));
+    assert_eq!(classify_scan_name(&format!("{hex}.s")), ScanName::Shadow);
+    assert_eq!(classify_scan_name(&format!("{hex}.a")), ScanName::Aux);
+    assert_eq!(classify_scan_name(&format!("{hex}.c12")), ScanName::Stash);
+    assert_eq!(classify_scan_name(&format!("{hex}.d")), ScanName::Subdir(f));
+    assert_eq!(
+        classify_scan_name(&format!("{hex}.dir")),
+        ScanName::FlatDir(f)
+    );
+    // Near misses are foreign, never an extent or a stash.
+    for odd in [".xx", ".cx", ".c", ".x1", ".k0000000000000001"] {
+        assert_eq!(
+            classify_scan_name(&format!("{hex}{odd}")),
+            ScanName::Foreign,
+            "{odd}"
+        );
     }
 }

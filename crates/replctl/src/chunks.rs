@@ -3,8 +3,8 @@
 //! One row per (host, root-volume replica): the demo file's chunk map
 //! (chunk size, chunk count, logical size) plus the replica's cumulative
 //! [`ChunkStats`] counters — chunks written and reused by delta-aware
-//! shadow commits, maps committed, and the recovery sweep's findings
-//! (DESIGN.md §4.13). The `replctl` binary renders this over a
+//! shadow commits, maps committed, and what crash recovery discarded
+//! (shadow maps and map-less extents; DESIGN.md §4.13). The `replctl` binary renders this over a
 //! deterministic demonstration world (two hosts, a multi-chunk file, one
 //! single-chunk edit propagated as a delta), so the dirty-chunk economy is
 //! observable from a shell without a daemon.
@@ -66,7 +66,7 @@ pub fn render(world: &FicusWorld, name: &str) -> String {
     let rows = status(world, name);
     let mut out = format!("chunk maps for `{name}` ({} replicas)\n", rows.len());
     out.push_str(&format!(
-        "{:<6} {:<8} {:<11} {:<7} {:<10} {:<8} {:<7} {:<5} swept (shadows/orphans)\n",
+        "{:<6} {:<8} {:<11} {:<7} {:<10} {:<8} {:<7} {:<5} discarded (shadows/extents)\n",
         "host", "replica", "chunk size", "chunks", "size", "written", "reused", "maps"
     ));
     for r in &rows {
@@ -81,7 +81,7 @@ pub fn render(world: &FicusWorld, name: &str) -> String {
             r.stats.chunks_reused,
             r.stats.maps_committed,
             r.stats.shadows_discarded,
-            r.stats.orphan_chunks_removed,
+            r.stats.extents_discarded,
         ));
     }
     out
@@ -144,7 +144,7 @@ mod tests {
             assert_eq!(r.size, 8 * u64::from(r.chunk_size));
             assert_eq!(r.stats.commit_aborts, 0);
             assert_eq!(r.stats.shadows_discarded, 0);
-            assert_eq!(r.stats.orphan_chunks_removed, 0);
+            assert_eq!(r.stats.extents_discarded, 0);
         }
         // Host 1 writes locally in place (no shadow commit); host 2 adopts
         // the first version whole and shadow-commits the second as a delta,

@@ -51,12 +51,12 @@ fn replication_over_encrypted_storage() {
 
     // The bytes on the raw UFS are NOT the plaintext. Under the block-map
     // layout (DESIGN.md §4.13) `<hex>` holds the chunk map; the data lives
-    // in the one chunk object `<hex>.k<gen>` — both ciphertext on disk.
+    // in slot 0 of the extent object `<hex>.x` — both ciphertext on disk.
     let base = raw_ufs.root().lookup(&cred, "vol").unwrap();
     let map = phys.chunk_map(f).unwrap();
     assert_eq!(map.chunks.len(), 1);
-    let chunk_name = format!("{}.k{:016x}", f.hex(), map.chunks[0].generation);
-    let stored = base.lookup(&cred, &chunk_name).unwrap();
+    assert_eq!(map.chunks[0].slot, 0);
+    let stored = base.lookup(&cred, &format!("{}.x", f.hex())).unwrap();
     let raw = stored.read(&cred, 0, 100).unwrap();
     assert_eq!(raw.len(), 9);
     assert_ne!(&raw[..], b"the plans", "storage holds ciphertext");
