@@ -66,10 +66,10 @@ const EXPERIMENTS: &[Experiment] = &[
         txt: "exp_e5_reconciliation.txt",
         run: || {
             let main = e5_reconciliation::run();
-            let batching = e5_reconciliation::run_batching();
-            let text = format!("{}{}", main.render(), batching.render());
+            let wire = e5_reconciliation::run_wire_cost();
+            let text = format!("{}{}", main.render(), wire.render());
             let mut m = main.metrics;
-            m.merge(batching.metrics);
+            m.merge(wire.metrics);
             (text, m)
         },
     },
@@ -86,10 +86,10 @@ const EXPERIMENTS: &[Experiment] = &[
         txt: "exp_e7_propagation.txt",
         run: || {
             let main = e7_propagation::run();
-            let batching = e7_propagation::run_batching();
-            let text = format!("{}{}", main.render(), batching.render());
+            let drain = e7_propagation::run_note_drain();
+            let text = format!("{}{}", main.render(), drain.render());
             let mut m = main.metrics;
-            m.merge(batching.metrics);
+            m.merge(drain.metrics);
             (text, m)
         },
     },

@@ -3,6 +3,6 @@ fn main() {
     print!("{}", ficus_bench::e5_reconciliation::run().render());
     print!(
         "{}",
-        ficus_bench::e5_reconciliation::run_batching().render()
+        ficus_bench::e5_reconciliation::run_wire_cost().render()
     );
 }

@@ -57,7 +57,7 @@ impl Stability {
 /// One named measurement.
 #[derive(Debug, Clone)]
 pub struct Metric {
-    /// Dotted name, unique within its experiment (`b100.per_file.rpcs`).
+    /// Dotted name, unique within its experiment (`div4.files_pulled`).
     pub name: String,
     /// Unit label (`rpcs`, `bytes`, `ratio`, `ns/op`, ...).
     pub unit: String,
@@ -825,7 +825,7 @@ mod tests {
     fn merge_folds_entries_and_counts() {
         let mut a = Metrics::new("e5", "main");
         a.det("div4.rpcs", "rpcs", 10.0);
-        let mut b = Metrics::new("e5", "batching");
+        let mut b = Metrics::new("e5", "wire cost");
         b.det("b100.rpcs", "rpcs", 106.0);
         b.wall("b100.ns", "ns", 1.5);
         a.merge(b);

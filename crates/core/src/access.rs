@@ -2,25 +2,28 @@
 //!
 //! The propagation daemon and the reconciliation protocol both need to read
 //! a peer replica's state: directory entry sets, replication attributes, and
-//! file data. When the peer is co-resident, they talk to the
-//! [`FicusPhysical`] directly; when it is remote, the same questions are
-//! asked through the vnode interface — via the overloaded-lookup control
-//! plane (§2.3) across an NFS mount — "without having to build a transport
-//! service" (§2.2). [`ReplicaAccess`] abstracts over the two so every
-//! algorithm above it is written once.
+//! file data. Every such question is asked "through the vnode interface …
+//! without having to build a transport service" (§2.2): it is a control
+//! name on the overloaded-lookup control plane (§2.3), and the answer is
+//! the contents of the synthetic file the name resolves to.
+//! [`ReplicaAccess`] is that one transport primitive — resolve and read a
+//! batch of control names — and each typed question on top of it is one
+//! name format and one decode, so every algorithm above is written once,
+//! whether the peer is co-resident or across an NFS mount.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ficus_nfs::client::NfsVnode;
 use ficus_nfs::wire::{Dec, Enc};
-use ficus_vnode::{Credentials, FsError, FsResult, VnodeRef};
+use ficus_vnode::{Credentials, FileSystem, FsError, FsResult, VnodeRef};
 
 use crate::attrs::ReplAttrs;
 use crate::changelog::LogSuffix;
 use crate::chunks::{self, ChunkMap};
 use crate::dirfile::FicusDir;
 use crate::ids::{FicusFileId, ReplicaId};
+use crate::phys::vnode::PhysFs;
 use crate::phys::FicusPhysical;
 
 /// A directory snapshot bundled with the replication attributes of every
@@ -28,7 +31,7 @@ use crate::phys::FicusPhysical;
 /// child, whether any further fetch is required.
 ///
 /// This is the payload of the `;f;dirx;<hex>` control name and the result
-/// of [`ReplicaAccess::fetch_dir_with_children`]. Children whose attributes
+/// of the `dir_with_children` question. Children whose attributes
 /// cannot be read on the remote (e.g. removed between the directory read
 /// and the attribute read) are simply absent from `children`; callers treat
 /// absence the same way they would treat a per-file `NotFound`.
@@ -104,84 +107,82 @@ impl DirWithChildren {
     }
 }
 
-/// Read access to one volume replica.
+/// Read access to one volume replica: who it is, and the one transport
+/// primitive every question about it rides.
 pub trait ReplicaAccess: Send + Sync {
     /// The replica's id.
     fn replica(&self) -> ReplicaId;
 
-    /// Replication attributes of one file.
-    fn fetch_attrs(&self, file: FicusFileId) -> FsResult<ReplAttrs>;
+    /// Resolves each control name under the replica's root and reads back
+    /// the whole file it names — one result per name, in request order.
+    /// Failures are per-item: a name the replica cannot resolve yields its
+    /// error in its slot; the call as a whole fails only when the transport
+    /// does.
+    fn read_ctl(&self, names: &[String]) -> FsResult<Vec<FsResult<Vec<u8>>>>;
+}
 
-    /// Full contents of one regular file.
-    fn fetch_data(&self, file: FicusFileId) -> FsResult<Vec<u8>>;
-
-    /// A directory's entry set plus its own replication attributes.
-    fn fetch_dir(&self, dir: FicusFileId) -> FsResult<(FicusDir, ReplAttrs)>;
+/// The questions the daemons ask a replica. Each is one control-name format
+/// and one decode over [`ReplicaAccess::read_ctl`]; a single question is the
+/// n = 1 batch.
+impl dyn ReplicaAccess + '_ {
+    fn read_one(&self, name: String) -> FsResult<Vec<u8>> {
+        self.read_ctl(&[name])?.pop().ok_or(FsError::Io)?
+    }
 
     /// Replication attributes for a batch of files, one result per id in
-    /// request order. Failures are per-item: an id the remote has never
-    /// heard of yields `Err(NotFound)` in its slot; the call as a whole
-    /// fails only when the transport does.
-    ///
-    /// The default asks per file; transports with a bulk primitive override
-    /// this to answer the whole batch in one exchange.
-    fn fetch_attrs_bulk(&self, files: &[FicusFileId]) -> FsResult<Vec<FsResult<ReplAttrs>>> {
-        Ok(files.iter().map(|&f| self.fetch_attrs(f)).collect())
+    /// request order: an id the replica has never heard of yields
+    /// `Err(NotFound)` in its slot.
+    pub fn attrs(&self, files: &[FicusFileId]) -> FsResult<Vec<FsResult<ReplAttrs>>> {
+        let names: Vec<String> = files.iter().map(|f| format!(";f;vv;{}", f.hex())).collect();
+        let items = self.read_ctl(&names)?;
+        Ok(items
+            .into_iter()
+            .map(|item| ReplAttrs::decode(&item?))
+            .collect())
     }
 
     /// A directory's entry set and attributes plus the replication
-    /// attributes of all its live children, in as few exchanges as the
-    /// transport allows. See [`DirWithChildren`] for the absence semantics
-    /// of the `children` map.
-    fn fetch_dir_with_children(&self, dir: FicusFileId) -> FsResult<DirWithChildren> {
-        let (entries, attrs) = self.fetch_dir(dir)?;
-        let mut children = BTreeMap::new();
-        for entry in entries.live() {
-            match self.fetch_attrs(entry.file) {
-                Ok(a) => {
-                    children.insert(entry.file, a);
-                }
-                Err(FsError::NotFound) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(DirWithChildren {
-            entries,
-            attrs,
-            children,
-        })
+    /// attributes of all its live children. See [`DirWithChildren`] for the
+    /// absence semantics of the `children` map.
+    pub fn dir_with_children(&self, dir: FicusFileId) -> FsResult<DirWithChildren> {
+        DirWithChildren::decode(&self.read_one(format!(";f;dirx;{}", dir.hex()))?)
     }
 
     /// The replica's change-log suffix since sequence `from` — the pulling
     /// side of the recon cursor protocol (see [`crate::changelog`]).
-    fn fetch_changes(&self, from: u64) -> FsResult<LogSuffix>;
+    pub fn changes(&self, from: u64) -> FsResult<LogSuffix> {
+        LogSuffix::decode(&self.read_one(format!(";f;log;{from:016x}"))?)
+    }
 
     /// The chunk map of one regular file — the per-chunk digests delta
-    /// transfer compares (DESIGN.md §4.13). The default reports
-    /// `Unsupported`; callers fall back to [`ReplicaAccess::fetch_data`].
-    fn fetch_chunk_map(&self, file: FicusFileId) -> FsResult<ChunkMap> {
-        let _ = file;
-        Err(FsError::Unsupported)
+    /// transfer compares (DESIGN.md §4.13).
+    pub fn chunk_map(&self, file: FicusFileId) -> FsResult<ChunkMap> {
+        ChunkMap::decode(&self.read_one(format!(";f;map;{}", file.hex()))?)
     }
 
     /// Concatenated bytes of chunks `[start, start + count)` of one file.
-    /// Same fallback contract as [`ReplicaAccess::fetch_chunk_map`].
-    fn fetch_chunks(&self, file: FicusFileId, start: u32, count: u32) -> FsResult<Vec<u8>> {
-        let _ = (file, start, count);
-        Err(FsError::Unsupported)
+    pub fn chunks(&self, file: FicusFileId, start: u32, count: u32) -> FsResult<Vec<u8>> {
+        self.read_one(format!(";f;blk;{};{start:08x};{count:08x}", file.hex()))
+    }
+
+    /// Full contents of one regular file.
+    pub fn data(&self, file: FicusFileId) -> FsResult<Vec<u8>> {
+        self.read_one(format!(";f;id;{}", file.hex()))
     }
 }
 
-/// Files at or below this many chunks skip the delta protocol entirely:
-/// one whole-file read costs no more than the map exchange would.
+/// Files at or below this many chunks are pulled whole. The puller learns
+/// the chunk count from the remote's map, so a stored small file still
+/// costs the map exchange before its one whole-file read (two exchanges
+/// per pull; E7b's `rpcs / ideal` records it).
 pub const SMALL_FILE_CHUNKS: usize = 2;
 
-/// What one delta-aware file fetch shipped and reused.
+/// What one file pull shipped and reused.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeltaFetch {
+pub struct FilePull {
     /// The assembled new contents.
     pub data: Vec<u8>,
-    /// Chunks pulled over the wire (zero for a whole-file fetch).
+    /// Chunks pulled over the wire (zero for a whole-file pull).
     pub blocks_shipped: u64,
     /// Chunks reused from the local replica (digest and length match).
     pub blocks_reused: u64,
@@ -189,198 +190,129 @@ pub struct DeltaFetch {
     pub bytes_fetched: u64,
 }
 
-/// Fetches a file's new contents, shipping only changed chunks when both
-/// sides speak the chunk protocol (DESIGN.md §4.13).
+/// Pulls a file's new contents from `remote` — the one route propagation,
+/// reconciliation and adoption all take (DESIGN.md §4.13).
 ///
-/// The local chunk map and the remote's (via `;f;map;`) are compared by
-/// digest; only dirty chunks travel, coalesced into contiguous `;f;blk;`
-/// range reads. Every shortcoming degrades to the whole-file fetch: a
-/// file too small to bother (≤ [`SMALL_FILE_CHUNKS`] chunks), a peer that
-/// does not serve maps, mismatched chunk sizes, a local replica with no
-/// usable copy, or any piece — fetched or reused — whose digest disagrees
-/// with the map that promised it (a torn local chunk, or a remote whose
-/// map and data raced an update).
-pub fn fetch_file_delta(
-    access: &dyn ReplicaAccess,
-    phys: &FicusPhysical,
+/// With a local copy to build on, the local chunk map and the remote's
+/// (via `;f;map;`) are compared by digest and only dirty chunks travel,
+/// coalesced into contiguous `;f;blk;` range reads. Whole file is the same
+/// plan with every chunk dirty, read in one `;f;id;` exchange, and it is
+/// what every *content* shortcoming selects: no local copy (`local` is
+/// `None` — adoption — or stores no map for the file), a file of at most
+/// [`SMALL_FILE_CHUNKS`] chunks, mismatched chunk sizes, or any piece —
+/// fetched or reused — whose digest disagrees with the map that promised it
+/// (a torn local chunk, or a remote whose map and data raced an update).
+/// A *transport* failure (`Unreachable`, `TimedOut`) ends the pull at once:
+/// the link that just failed is not tried a second time.
+pub fn pull_file(
+    remote: &dyn ReplicaAccess,
+    local: Option<&FicusPhysical>,
     file: FicusFileId,
-) -> FsResult<DeltaFetch> {
-    if let Some(delta) = try_delta(access, phys, file) {
-        return Ok(delta);
+) -> FsResult<FilePull> {
+    if let Some(phys) = local {
+        // Any other error is a content shortcoming: every chunk travels.
+        if let done @ (Ok(_) | Err(FsError::Unreachable | FsError::TimedOut)) =
+            pull_dirty_chunks(remote, phys, file)
+        {
+            return done;
+        }
     }
-    let data = access.fetch_data(file)?;
-    Ok(DeltaFetch {
+    let data = remote.data(file)?;
+    Ok(FilePull {
         bytes_fetched: data.len() as u64,
         data,
-        ..DeltaFetch::default()
+        ..FilePull::default()
     })
 }
 
-/// The delta path proper; `None` means "use the whole-file fallback".
-/// Errors inside the attempt are folded into `None` on purpose — if the
-/// transport is genuinely down the fallback's own fetch will say so.
-fn try_delta(
-    access: &dyn ReplicaAccess,
+/// The delta plan. Any error but a transport failure means the pieces on
+/// hand do not add up to the promised contents.
+fn pull_dirty_chunks(
+    remote: &dyn ReplicaAccess,
     phys: &FicusPhysical,
     file: FicusFileId,
-) -> Option<DeltaFetch> {
-    let local = phys.chunk_map(file).ok()?;
-    let remote = access.fetch_chunk_map(file).ok()?;
-    if remote.chunks.len() <= SMALL_FILE_CHUNKS || remote.chunk_size != local.chunk_size {
-        return None;
-    }
-    let dirty = chunks::dirty_indices(&local, &remote);
-    let clean: Vec<u32> = (0..remote.chunks.len() as u32)
-        .filter(|i| dirty.binary_search(i).is_err())
-        .collect();
+) -> FsResult<FilePull> {
+    let local = phys.chunk_map(file)?;
+    let map = remote.chunk_map(file)?;
     // Chunk `i` of the new contents lies at `i * chunk_size` (the decoded
     // map guarantees every chunk but the last is full), so each contiguous
     // run — dirty from the wire, clean from the local replica — is one
     // read placed at its offset.
-    let csize = u64::from(remote.chunk_size);
-    if csize == 0 || remote.size.div_ceil(csize) != remote.chunks.len() as u64 {
-        return None;
+    let csize = u64::from(map.chunk_size);
+    if map.chunks.len() <= SMALL_FILE_CHUNKS
+        || map.chunk_size != local.chunk_size
+        || csize == 0
+        || map.size.div_ceil(csize) != map.chunks.len() as u64
+    {
+        return Err(FsError::Stale);
     }
+    let dirty = chunks::dirty_indices(&local, &map);
+    let clean: Vec<u32> = (0..map.chunks.len() as u32)
+        .filter(|i| dirty.binary_search(i).is_err())
+        .collect();
     let span = |start: u32, count: u32| {
         let lo = u64::from(start) * csize;
-        let hi = ((u64::from(start) + u64::from(count)) * csize).min(remote.size);
+        let hi = ((u64::from(start) + u64::from(count)) * csize).min(map.size);
         lo as usize..hi as usize
     };
-    let mut data = vec![0u8; remote.size as usize];
+    let mut data = vec![0u8; map.size as usize];
     let mut place = |start: u32, count: u32, buf: &[u8]| {
-        let dst = data.get_mut(span(start, count))?;
-        (buf.len() == dst.len()).then(|| dst.copy_from_slice(buf))
+        let dst = data.get_mut(span(start, count));
+        let dst = dst.filter(|d| d.len() == buf.len()).ok_or(FsError::Stale)?;
+        dst.copy_from_slice(buf);
+        Ok(())
     };
     let mut bytes_fetched = 0u64;
     for (start, count) in chunks::contiguous_ranges(&dirty) {
-        let buf = access.fetch_chunks(file, start, count).ok()?;
+        let buf = remote.chunks(file, start, count)?;
         place(start, count, &buf)?;
         bytes_fetched += buf.len() as u64;
     }
     for (start, count) in chunks::contiguous_ranges(&clean) {
         let range = span(start, count);
-        let buf = phys.read(file, range.start as u64, range.len()).ok()?;
+        let buf = phys.read(file, range.start as u64, range.len())?;
         place(start, count, &buf)?;
     }
     // Every piece — fetched or reused — must be what the remote map
     // promised: this is what catches a local chunk torn by a non-atomic
     // in-place write.
-    for (entry, piece) in remote.chunks.iter().zip(data.chunks(csize as usize)) {
+    for (entry, piece) in map.chunks.iter().zip(data.chunks(csize as usize)) {
         if piece.len() != entry.len as usize || chunks::digest(piece) != entry.digest {
-            return None;
+            return Err(FsError::Stale);
         }
     }
-    Some(DeltaFetch {
+    Ok(FilePull {
         data,
         blocks_shipped: dirty.len() as u64,
-        blocks_reused: (remote.chunks.len() - dirty.len()) as u64,
+        blocks_reused: (map.chunks.len() - dirty.len()) as u64,
         bytes_fetched,
     })
 }
 
-/// Direct access to a co-resident physical layer.
-pub struct LocalAccess {
-    phys: Arc<FicusPhysical>,
-}
-
-impl LocalAccess {
-    /// Wraps a local physical layer.
-    #[must_use]
-    pub fn new(phys: Arc<FicusPhysical>) -> Self {
-        LocalAccess { phys }
-    }
-}
-
-impl ReplicaAccess for LocalAccess {
-    fn replica(&self) -> ReplicaId {
-        self.phys.replica()
-    }
-
-    fn fetch_attrs(&self, file: FicusFileId) -> FsResult<ReplAttrs> {
-        self.phys.repl_attrs(file)
-    }
-
-    fn fetch_data(&self, file: FicusFileId) -> FsResult<Vec<u8>> {
-        let size = self.phys.storage_attr(file)?.size as usize;
-        Ok(self.phys.read(file, 0, size)?.to_vec())
-    }
-
-    fn fetch_dir(&self, dir: FicusFileId) -> FsResult<(FicusDir, ReplAttrs)> {
-        let entries = self.phys.dir_entries(dir)?;
-        let attrs = self.phys.repl_attrs(dir)?;
-        Ok((entries, attrs))
-    }
-
-    fn fetch_dir_with_children(&self, dir: FicusFileId) -> FsResult<DirWithChildren> {
-        DirWithChildren::gather(&self.phys, dir)
-    }
-
-    fn fetch_changes(&self, from: u64) -> FsResult<LogSuffix> {
-        Ok(self.phys.changelog_suffix(from))
-    }
-
-    fn fetch_chunk_map(&self, file: FicusFileId) -> FsResult<ChunkMap> {
-        self.phys.chunk_map(file)
-    }
-
-    fn fetch_chunks(&self, file: FicusFileId, start: u32, count: u32) -> FsResult<Vec<u8>> {
-        self.phys.read_chunk_range(file, start, count)
-    }
-}
-
-/// Access to a remote replica through its exported vnode root (typically an
-/// NFS-client mount of the peer's physical layer).
+/// Access to a replica through its exported vnode root: an NFS-client mount
+/// of a remote peer's physical layer, or any other stack over one.
 pub struct VnodeAccess {
     replica: ReplicaId,
     root: VnodeRef,
     cred: Credentials,
-    batched: bool,
 }
 
 impl VnodeAccess {
     /// Wraps the root vnode of a (possibly remote) physical-layer export.
-    /// Uses the batched lookup-and-read RPC whenever the root turns out to
-    /// be an NFS-client vnode.
     #[must_use]
     pub fn new(replica: ReplicaId, root: VnodeRef) -> Self {
         VnodeAccess {
             replica,
             root,
             cred: Credentials::root(),
-            batched: true,
         }
     }
 
-    /// Like [`VnodeAccess::new`] but never batches: every question costs
-    /// its own lookup/getattr/read sequence. This is the pre-bulk protocol,
-    /// kept as the measurement baseline and as the wire-compatibility mode
-    /// for peers that predate [`Request::LookupReadMany`].
-    ///
-    /// [`Request::LookupReadMany`]: ficus_nfs::wire::Request::LookupReadMany
-    #[must_use]
-    pub fn per_file(replica: ReplicaId, root: VnodeRef) -> Self {
-        VnodeAccess {
-            batched: false,
-            ..VnodeAccess::new(replica, root)
-        }
-    }
-
-    /// Reads the whole contents of a control vnode.
-    fn slurp(&self, v: &VnodeRef) -> FsResult<Vec<u8>> {
+    /// Resolves one control name and reads back the whole file it names.
+    fn lookup_read(&self, name: &str) -> FsResult<Vec<u8>> {
+        let v = self.root.lookup(&self.cred, name)?;
         let size = v.getattr(&self.cred)?.size as usize;
         Ok(v.read(&self.cred, 0, size)?.to_vec())
-    }
-
-    /// Resolves-and-reads a batch of control names in one RPC, when the
-    /// root is an NFS-client vnode and batching is enabled. `None` means
-    /// the transport has no bulk primitive and the caller must fall back
-    /// to per-name lookups.
-    fn bulk_read(&self, names: &[String]) -> Option<FsResult<Vec<FsResult<Vec<u8>>>>> {
-        if !self.batched {
-            return None;
-        }
-        let nfs = self.root.as_any().downcast_ref::<NfsVnode>()?;
-        Some(nfs.lookup_read_many(&self.cred, names))
     }
 }
 
@@ -389,111 +321,41 @@ impl ReplicaAccess for VnodeAccess {
         self.replica
     }
 
-    fn fetch_attrs(&self, file: FicusFileId) -> FsResult<ReplAttrs> {
-        // Even a single attribute read wins from the bulk RPC: the per-file
-        // path costs lookup + getattr + read (three round trips), the bulk
-        // path one.
-        if let Some(items) = self.bulk_read(&[format!(";f;vv;{}", file.hex())]) {
-            let payload = items?.into_iter().next().ok_or(FsError::Io)??;
-            return ReplAttrs::decode(&payload);
+    /// An NFS-client root answers the whole batch in one `LookupReadMany`
+    /// round trip; any other root is in this process, and each name is an
+    /// ordinary lookup and read.
+    fn read_ctl(&self, names: &[String]) -> FsResult<Vec<FsResult<Vec<u8>>>> {
+        if let Some(nfs) = self.root.as_any().downcast_ref::<NfsVnode>() {
+            return nfs.lookup_read_many(&self.cred, names);
         }
-        let ctl = self
-            .root
-            .lookup(&self.cred, &format!(";f;vv;{}", file.hex()))?;
-        ReplAttrs::decode(&self.slurp(&ctl)?)
+        Ok(names.iter().map(|name| self.lookup_read(name)).collect())
+    }
+}
+
+/// Access to a co-resident physical layer: the same control plane, asked
+/// in process.
+pub struct LocalAccess(VnodeAccess);
+
+impl LocalAccess {
+    /// Wraps a local physical layer.
+    #[must_use]
+    pub fn new(phys: Arc<FicusPhysical>) -> Self {
+        LocalAccess(VnodeAccess::new(phys.replica(), PhysFs::new(phys).root()))
+    }
+}
+
+impl ReplicaAccess for LocalAccess {
+    fn replica(&self) -> ReplicaId {
+        self.0.replica()
     }
 
-    fn fetch_data(&self, file: FicusFileId) -> FsResult<Vec<u8>> {
-        if let Some(items) = self.bulk_read(&[format!(";f;id;{}", file.hex())]) {
-            return items?.into_iter().next().ok_or(FsError::Io)?;
-        }
-        let v = self
-            .root
-            .lookup(&self.cred, &format!(";f;id;{}", file.hex()))?;
-        self.slurp(&v)
-    }
-
-    fn fetch_dir(&self, dir: FicusFileId) -> FsResult<(FicusDir, ReplAttrs)> {
-        let dv = if dir.is_root() {
-            self.root.clone()
-        } else {
-            self.root
-                .lookup(&self.cred, &format!(";f;id;{}", dir.hex()))?
-        };
-        if !dv.kind().is_directory_like() {
-            return Err(FsError::NotDir);
-        }
-        let entries = FicusDir::decode(&self.slurp(&dv.lookup(&self.cred, ";f;dir")?)?)?;
-        let attrs = ReplAttrs::decode(&self.slurp(&dv.lookup(&self.cred, ";f;dvv")?)?)?;
-        Ok((entries, attrs))
-    }
-
-    fn fetch_attrs_bulk(&self, files: &[FicusFileId]) -> FsResult<Vec<FsResult<ReplAttrs>>> {
-        let names: Vec<String> = files.iter().map(|f| format!(";f;vv;{}", f.hex())).collect();
-        if let Some(items) = self.bulk_read(&names) {
-            return Ok(items?
-                .into_iter()
-                .map(|item| item.and_then(|payload| ReplAttrs::decode(&payload)))
-                .collect());
-        }
-        Ok(files.iter().map(|&f| self.fetch_attrs(f)).collect())
-    }
-
-    fn fetch_dir_with_children(&self, dir: FicusFileId) -> FsResult<DirWithChildren> {
-        if let Some(items) = self.bulk_read(&[format!(";f;dirx;{}", dir.hex())]) {
-            let payload = items?.into_iter().next().ok_or(FsError::Io)??;
-            return DirWithChildren::decode(&payload);
-        }
-        let (entries, attrs) = self.fetch_dir(dir)?;
-        let mut children = BTreeMap::new();
-        for entry in entries.live() {
-            match self.fetch_attrs(entry.file) {
-                Ok(a) => {
-                    children.insert(entry.file, a);
-                }
-                Err(FsError::NotFound) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(DirWithChildren {
-            entries,
-            attrs,
-            children,
-        })
-    }
-
-    fn fetch_changes(&self, from: u64) -> FsResult<LogSuffix> {
-        let name = format!(";f;log;{from:016x}");
-        if let Some(items) = self.bulk_read(std::slice::from_ref(&name)) {
-            let payload = items?.into_iter().next().ok_or(FsError::Io)??;
-            return LogSuffix::decode(&payload);
-        }
-        let ctl = self.root.lookup(&self.cred, &name)?;
-        LogSuffix::decode(&self.slurp(&ctl)?)
-    }
-
-    fn fetch_chunk_map(&self, file: FicusFileId) -> FsResult<ChunkMap> {
-        let name = format!(";f;map;{}", file.hex());
-        if let Some(items) = self.bulk_read(std::slice::from_ref(&name)) {
-            let payload = items?.into_iter().next().ok_or(FsError::Io)??;
-            return ChunkMap::decode(&payload);
-        }
-        let ctl = self.root.lookup(&self.cred, &name)?;
-        ChunkMap::decode(&self.slurp(&ctl)?)
-    }
-
-    fn fetch_chunks(&self, file: FicusFileId, start: u32, count: u32) -> FsResult<Vec<u8>> {
-        let name = format!(";f;blk;{};{start:08x};{count:08x}", file.hex());
-        if let Some(items) = self.bulk_read(std::slice::from_ref(&name)) {
-            return items?.into_iter().next().ok_or(FsError::Io)?;
-        }
-        let ctl = self.root.lookup(&self.cred, &name)?;
-        self.slurp(&ctl)
+    fn read_ctl(&self, names: &[String]) -> FsResult<Vec<FsResult<Vec<u8>>>> {
+        self.0.read_ctl(names)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ficus_ufs::{Disk, Geometry, Ufs, UfsParams};
     use ficus_vnode::measure::{MeasureLayer, Op, OpCounters};
@@ -508,6 +370,10 @@ mod tests {
     }
 
     fn phys_replica(me: ReplicaId) -> Arc<FicusPhysical> {
+        phys_with(me, PhysParams::default())
+    }
+
+    fn phys_with(me: ReplicaId, params: PhysParams) -> Arc<FicusPhysical> {
         let ufs = Ufs::format(Disk::new(Geometry::medium()), UfsParams::default()).unwrap();
         FicusPhysical::create_volume(
             Arc::new(ufs),
@@ -516,13 +382,78 @@ mod tests {
             me,
             &[1, 2],
             Arc::new(LogicalClock::new()) as Arc<dyn TimeSource>,
-            PhysParams::default(),
+            params,
         )
         .unwrap()
     }
 
+    /// A [`ReplicaAccess`] wrapper that records every control name asked,
+    /// one entry per exchange, and can play a link that dies.
+    pub(crate) struct Instrumented<A> {
+        inner: A,
+        exchanges: parking_lot::Mutex<Vec<Vec<String>>>,
+        dies: parking_lot::Mutex<Option<(usize, FsError)>>,
+    }
+
+    impl<A: ReplicaAccess> Instrumented<A> {
+        pub(crate) fn new(inner: A) -> Self {
+            Instrumented {
+                inner,
+                exchanges: parking_lot::Mutex::new(Vec::new()),
+                dies: parking_lot::Mutex::new(None),
+            }
+        }
+
+        /// Every exchange from the `n`-th on (0-based) fails with `error`.
+        pub(crate) fn fail_from(&self, n: usize, error: FsError) {
+            *self.dies.lock() = Some((n, error));
+        }
+
+        /// Drains the log: the names of each exchange so far.
+        pub(crate) fn take(&self) -> Vec<Vec<String>> {
+            std::mem::take(&mut *self.exchanges.lock())
+        }
+
+        /// Drains the log: the `;f;<kind>;` prefix of each exchange's first
+        /// name.
+        pub(crate) fn take_prefixes(&self) -> Vec<String> {
+            let prefix = |name: &String| name.split_inclusive(';').take(3).collect();
+            self.take().iter().map(|names| prefix(&names[0])).collect()
+        }
+    }
+
+    /// Lets a daemon own its connection while the test keeps the log.
+    impl<A: ReplicaAccess> ReplicaAccess for Arc<Instrumented<A>> {
+        fn replica(&self) -> ReplicaId {
+            (**self).replica()
+        }
+
+        fn read_ctl(&self, names: &[String]) -> FsResult<Vec<FsResult<Vec<u8>>>> {
+            (**self).read_ctl(names)
+        }
+    }
+
+    impl<A: ReplicaAccess> ReplicaAccess for Instrumented<A> {
+        fn replica(&self) -> ReplicaId {
+            self.inner.replica()
+        }
+
+        fn read_ctl(&self, names: &[String]) -> FsResult<Vec<FsResult<Vec<u8>>>> {
+            let asked = {
+                let mut log = self.exchanges.lock();
+                log.push(names.to_vec());
+                log.len()
+            };
+            let dies = *self.dies.lock();
+            match dies {
+                Some((n, error)) if asked > n => Err(error),
+                _ => self.inner.read_ctl(names),
+            }
+        }
+    }
+
     #[test]
-    fn local_and_vnode_access_agree() {
+    fn every_question_gets_the_physical_layers_own_answer() {
         let p = phys();
         let f = p.create(ROOT_FILE, "file", VnodeType::Regular).unwrap();
         p.write(f, 0, b"same view").unwrap();
@@ -530,38 +461,35 @@ mod tests {
 
         let local = LocalAccess::new(Arc::clone(&p));
         let via_vnode = VnodeAccess::new(ReplicaId(1), PhysFs::new(Arc::clone(&p)).root());
-
-        assert_eq!(local.replica(), via_vnode.replica());
-        assert_eq!(
-            local.fetch_attrs(f).unwrap(),
-            via_vnode.fetch_attrs(f).unwrap()
-        );
-        assert_eq!(
-            local.fetch_data(f).unwrap(),
-            via_vnode.fetch_data(f).unwrap()
-        );
-        let (le, la) = local.fetch_dir(ROOT_FILE).unwrap();
-        let (ve, va) = via_vnode.fetch_dir(ROOT_FILE).unwrap();
-        assert_eq!(le, ve);
-        assert_eq!(la, va);
-        let (sub_l, _) = local.fetch_dir(d).unwrap();
-        let (sub_v, _) = via_vnode.fetch_dir(d).unwrap();
-        assert_eq!(sub_l, sub_v);
+        for acc in [&local as &dyn ReplicaAccess, &via_vnode] {
+            assert_eq!(acc.replica(), p.replica());
+            assert_eq!(
+                acc.attrs(&[f, d]).unwrap(),
+                [p.repl_attrs(f), p.repl_attrs(d)]
+            );
+            assert_eq!(acc.data(f).unwrap(), b"same view");
+            for dir in [ROOT_FILE, d] {
+                assert_eq!(
+                    acc.dir_with_children(dir).unwrap(),
+                    DirWithChildren::gather(&p, dir).unwrap()
+                );
+            }
+            assert_eq!(acc.changes(0).unwrap(), p.changelog_suffix(0));
+        }
     }
 
     #[test]
     fn vnode_access_missing_file() {
         let p = phys();
-        let acc = VnodeAccess::new(ReplicaId(1), PhysFs::new(p).root());
+        let acc: &dyn ReplicaAccess = &VnodeAccess::new(ReplicaId(1), PhysFs::new(p).root());
         assert_eq!(
-            acc.fetch_attrs(crate::ids::FicusFileId::new(9, 9))
-                .unwrap_err(),
-            FsError::NotFound
+            acc.attrs(&[crate::ids::FicusFileId::new(9, 9)]).unwrap(),
+            vec![Err(FsError::NotFound)]
         );
     }
 
     #[test]
-    fn bulk_defaults_agree_with_per_file_calls() {
+    fn a_batch_agrees_with_its_singletons() {
         let p = phys();
         let f = p.create(ROOT_FILE, "file", VnodeType::Regular).unwrap();
         p.write(f, 0, b"payload").unwrap();
@@ -572,26 +500,21 @@ mod tests {
         let via_vnode = VnodeAccess::new(ReplicaId(1), PhysFs::new(Arc::clone(&p)).root());
 
         for acc in [&local as &dyn ReplicaAccess, &via_vnode] {
-            let batch = acc.fetch_attrs_bulk(&[f, ghost, d]).unwrap();
-            assert_eq!(batch.len(), 3);
-            assert_eq!(batch[0], acc.fetch_attrs(f));
-            assert_eq!(batch[1], Err(FsError::NotFound));
-            assert_eq!(batch[2], acc.fetch_attrs(d));
+            let one = |file| acc.attrs(&[file]).unwrap().pop().unwrap();
+            let batch = acc.attrs(&[f, ghost, d]).unwrap();
+            assert_eq!(batch, vec![one(f), Err(FsError::NotFound), one(d)]);
+            assert_eq!(batch[0], p.repl_attrs(f));
 
-            let dx = acc.fetch_dir_with_children(ROOT_FILE).unwrap();
-            let (entries, attrs) = acc.fetch_dir(ROOT_FILE).unwrap();
-            assert_eq!(dx.entries, entries);
-            assert_eq!(dx.attrs, attrs);
+            let dx = acc.dir_with_children(ROOT_FILE).unwrap();
+            assert_eq!(dx.entries, p.dir_entries(ROOT_FILE).unwrap());
+            assert_eq!(dx.attrs, p.repl_attrs(ROOT_FILE).unwrap());
             assert_eq!(dx.children.len(), 2);
-            assert_eq!(dx.children[&f], acc.fetch_attrs(f).unwrap());
-            assert_eq!(dx.children[&d], acc.fetch_attrs(d).unwrap());
-        }
+            assert_eq!(dx.children[&f], one(f).unwrap());
+            assert_eq!(dx.children[&d], one(d).unwrap());
 
-        // A file is not a directory, batched or not.
-        assert_eq!(
-            local.fetch_dir_with_children(f).unwrap_err(),
-            FsError::NotDir
-        );
+            // A file is not a directory.
+            assert_eq!(acc.dir_with_children(f).unwrap_err(), FsError::NotDir);
+        }
     }
 
     #[test]
@@ -602,93 +525,84 @@ mod tests {
 
         let local = LocalAccess::new(Arc::clone(&p));
         let via_vnode = VnodeAccess::new(ReplicaId(1), PhysFs::new(Arc::clone(&p)).root());
-        let per_file = VnodeAccess::per_file(ReplicaId(1), PhysFs::new(Arc::clone(&p)).root());
+        let (local, via_vnode): (&dyn ReplicaAccess, &dyn ReplicaAccess) = (&local, &via_vnode);
 
-        let want_map = local.fetch_chunk_map(f).unwrap();
+        let want_map = p.chunk_map(f).unwrap();
         assert_eq!(want_map.chunks.len(), 4);
-        assert_eq!(via_vnode.fetch_chunk_map(f).unwrap(), want_map);
-        assert_eq!(per_file.fetch_chunk_map(f).unwrap(), want_map);
+        assert_eq!(local.chunk_map(f).unwrap(), want_map);
+        assert_eq!(via_vnode.chunk_map(f).unwrap(), want_map);
 
-        let want = local.fetch_chunks(f, 1, 2).unwrap();
+        let want = p.read_chunk_range(f, 1, 2).unwrap();
         assert_eq!(want.len(), 2 * 4096);
-        assert_eq!(via_vnode.fetch_chunks(f, 1, 2).unwrap(), want);
-        assert_eq!(per_file.fetch_chunks(f, 1, 2).unwrap(), want);
+        assert_eq!(local.chunks(f, 1, 2).unwrap(), want);
+        assert_eq!(via_vnode.chunks(f, 1, 2).unwrap(), want);
         // Out-of-range requests fail identically everywhere.
-        assert_eq!(local.fetch_chunks(f, 3, 2).unwrap_err(), FsError::Invalid);
-        assert_eq!(
-            via_vnode.fetch_chunks(f, 3, 2).unwrap_err(),
-            FsError::Invalid
-        );
+        assert_eq!(local.chunks(f, 3, 2).unwrap_err(), FsError::Invalid);
+        assert_eq!(via_vnode.chunks(f, 3, 2).unwrap_err(), FsError::Invalid);
     }
 
     #[test]
-    fn delta_fetch_falls_back_to_whole_file() {
+    fn content_shortcomings_pull_the_whole_file() {
         let p1 = phys_replica(ReplicaId(1));
         let p2 = phys_replica(ReplicaId(2));
+        let acc = Instrumented::new(LocalAccess::new(Arc::clone(&p1)));
+        let whole = |pulled: &FilePull, body: &[u8]| {
+            assert_eq!(pulled.data, body);
+            assert_eq!((pulled.blocks_shipped, pulled.blocks_reused), (0, 0));
+            assert_eq!(pulled.bytes_fetched, body.len() as u64);
+        };
 
-        // Small files skip the map exchange entirely.
+        // A stored small file: the map exchange tells the puller the chunk
+        // count, then one whole-file read follows.
         let small = p1.create(ROOT_FILE, "small", VnodeType::Regular).unwrap();
         p1.write(small, 0, b"tiny").unwrap();
-        p2.adopt_file(
-            ROOT_FILE,
-            small,
-            VnodeType::Regular,
-            &p1.file_vv(small).unwrap(),
-            b"tiny",
-        )
-        .unwrap();
-        let acc = VnodeAccess::new(ReplicaId(1), PhysFs::new(Arc::clone(&p1)).root());
-        let pulled = fetch_file_delta(&acc, &p2, small).unwrap();
-        assert_eq!(pulled.data, b"tiny");
-        assert_eq!(pulled.blocks_shipped, 0);
-        assert_eq!(pulled.blocks_reused, 0);
-        assert_eq!(pulled.bytes_fetched, 4);
+        let vv = p1.file_vv(small).unwrap();
+        p2.adopt_file(ROOT_FILE, small, VnodeType::Regular, &vv, b"tiny")
+            .unwrap();
+        whole(&pull_file(&acc, Some(&p2), small).unwrap(), b"tiny");
+        assert_eq!(acc.take_prefixes(), [";f;map;", ";f;id;"]);
 
-        // A file the local replica has never stored also goes whole.
+        // A file the local replica has never stored goes whole without
+        // asking for the map, whether the caller knows it (adoption) or the
+        // missing local map says so.
         let fresh = p1.create(ROOT_FILE, "fresh", VnodeType::Regular).unwrap();
         let body = vec![3u8; 5 * 4096];
         p1.write(fresh, 0, &body).unwrap();
-        let pulled = fetch_file_delta(&acc, &p2, fresh).unwrap();
-        assert_eq!(pulled.data, body);
-        assert_eq!(pulled.blocks_shipped, 0);
-        assert_eq!(pulled.bytes_fetched, body.len() as u64);
+        for local in [None, Some(&*p2)] {
+            whole(&pull_file(&acc, local, fresh).unwrap(), &body);
+            assert_eq!(acc.take_prefixes(), [";f;id;"]);
+        }
 
-        // An access layer without the chunk protocol (trait defaults)
-        // degrades the same way.
-        struct NoChunks(LocalAccess);
-        impl ReplicaAccess for NoChunks {
-            fn replica(&self) -> ReplicaId {
-                self.0.replica()
-            }
-            fn fetch_attrs(&self, file: FicusFileId) -> FsResult<ReplAttrs> {
-                self.0.fetch_attrs(file)
-            }
-            fn fetch_data(&self, file: FicusFileId) -> FsResult<Vec<u8>> {
-                self.0.fetch_data(file)
-            }
-            fn fetch_dir(&self, dir: FicusFileId) -> FsResult<(FicusDir, ReplAttrs)> {
-                self.0.fetch_dir(dir)
-            }
-            fn fetch_changes(&self, from: u64) -> FsResult<LogSuffix> {
-                self.0.fetch_changes(from)
+        // Replicas that chunk differently share no chunk to reuse.
+        let coarse = phys_with(
+            ReplicaId(2),
+            PhysParams {
+                chunk_size: 8192,
+                ..PhysParams::default()
+            },
+        );
+        let vv = p1.file_vv(fresh).unwrap();
+        coarse
+            .adopt_file(ROOT_FILE, fresh, VnodeType::Regular, &vv, &body)
+            .unwrap();
+        whole(&pull_file(&acc, Some(&coarse), fresh).unwrap(), &body);
+        assert_eq!(acc.take_prefixes(), [";f;map;", ";f;id;"]);
+    }
+
+    #[test]
+    fn a_transport_failure_ends_the_pull_at_once() {
+        let pair = DeltaPair::new();
+        for (dies_at, asked) in [(0, vec![";f;map;"]), (1, vec![";f;map;", ";f;blk;"])] {
+            for error in [FsError::Unreachable, FsError::TimedOut] {
+                let acc = Instrumented::new(LocalAccess::new(Arc::clone(&pair.origin)));
+                acc.fail_from(dies_at, error);
+                assert_eq!(
+                    pull_file(&acc, Some(&pair.puller), pair.file).unwrap_err(),
+                    error
+                );
+                assert_eq!(acc.take_prefixes(), asked, "no second, whole-file attempt");
             }
         }
-        let big = p1.create(ROOT_FILE, "big", VnodeType::Regular).unwrap();
-        let body = vec![4u8; 8 * 4096];
-        p1.write(big, 0, &body).unwrap();
-        p2.adopt_file(
-            ROOT_FILE,
-            big,
-            VnodeType::Regular,
-            &p1.file_vv(big).unwrap(),
-            &body,
-        )
-        .unwrap();
-        let legacy = NoChunks(LocalAccess::new(Arc::clone(&p1)));
-        let pulled = fetch_file_delta(&legacy, &p2, big).unwrap();
-        assert_eq!(pulled.data, body);
-        assert_eq!(pulled.blocks_shipped, 0);
-        assert_eq!(pulled.bytes_fetched, body.len() as u64);
     }
 
     /// Replica 1 holds a 16-chunk file replica 2 has adopted, then edits
@@ -742,11 +656,11 @@ mod tests {
             }
         }
 
-        fn pull(&self) -> DeltaFetch {
+        fn pull(&self) -> FilePull {
             let root = PhysFs::new(Arc::clone(&self.origin)).root();
-            fetch_file_delta(
+            pull_file(
                 &VnodeAccess::new(ReplicaId(1), root),
-                &self.puller,
+                Some(&self.puller),
                 self.file,
             )
             .unwrap()

@@ -7,9 +7,8 @@
 //! here. A reconciliation pass between two replicas then exchanges **log
 //! cursors**: the puller remembers the remote's `next_seq` from its last
 //! visit and asks only for the suffix since then (`;f;log;<hex>` on the
-//! control plane), feeding just those files into the batched
-//! `fetch_attrs_bulk` machinery. A quiescent pair costs one RPC, not a
-//! subtree walk.
+//! control plane), feeding just those files into one attribute batch. A
+//! quiescent pair costs one RPC, not a subtree walk.
 //!
 //! The log is a bounded ring: when `capacity` is exceeded the oldest
 //! records fall off and `floor` rises. A cursor below the floor means the

@@ -24,12 +24,12 @@
 use ficus_nfs::wire::{Dec, Enc};
 use ficus_vnode::{FsError, FsResult, Timestamp};
 
-use crate::access::{fetch_file_delta, ReplicaAccess};
+use crate::access::ReplicaAccess;
 use crate::health::PeerHealth;
 use crate::ids::{FicusFileId, ReplicaId, VolumeName};
 use crate::lcache::Lcache;
 use crate::phys::{FicusPhysical, NvcEntry};
-use crate::recon;
+use crate::recon::{self, FileStep, ReconStats};
 
 /// The datagram service name update notifications travel on.
 pub const NOTE_SERVICE: &str = "ficus-note";
@@ -131,7 +131,7 @@ pub struct PropagationStats {
     /// stashing (see [`crate::recon::ReconStats::identical_merges`]).
     pub identical_merges: u64,
     /// Chunks shipped over the wire by delta-aware pulls (DESIGN.md
-    /// §4.13). Whole-file fallback fetches count zero here; their cost
+    /// §4.13). Whole-file pulls count zero here; their cost
     /// shows up in `bytes_fetched` alone.
     pub blocks_shipped: u64,
     /// Chunks a delta-aware pull reused from the local replica instead of
@@ -159,6 +159,21 @@ impl PropagationStats {
         self.identical_merges += other.identical_merges;
         self.blocks_shipped += other.blocks_shipped;
         self.blocks_reused += other.blocks_reused;
+    }
+
+    /// Folds in what a reconciliation step did on this run's behalf:
+    /// everything it pulled, inserted, tombstoned and reported is this
+    /// daemon run's work; losing it undercounts the pass (and E7).
+    fn absorb_recon(&mut self, out: &ReconStats) {
+        self.files_pulled += out.files_pulled;
+        self.entries_inserted += out.entries_inserted;
+        self.entries_tombstoned += out.entries_tombstoned;
+        self.conflicts += out.update_conflicts;
+        self.rpcs_saved += out.rpcs_saved;
+        self.bytes_fetched += out.bytes_fetched;
+        self.identical_merges += out.identical_merges;
+        self.blocks_shipped += out.blocks_shipped;
+        self.blocks_reused += out.blocks_reused;
     }
 }
 
@@ -281,7 +296,7 @@ where
             }
         };
         let files: Vec<FicusFileId> = notes.iter().map(|(file, _)| *file).collect();
-        let all_attrs = match access.fetch_attrs_bulk(&files) {
+        let all_attrs = match access.attrs(&files) {
             Ok(a) => a,
             Err(e @ (FsError::Unreachable | FsError::TimedOut)) => {
                 tally_failure(&mut stats, health, origin, now, &e, notes.len() as u64);
@@ -296,37 +311,18 @@ where
         // n notes answered by one batch instead of n attribute fetches.
         stats.rpcs_saved += (notes.len() - 1) as u64;
         for ((file, entry), remote_attrs) in notes.into_iter().zip(all_attrs) {
-            let remote_attrs = match remote_attrs {
-                Ok(a) => a,
-                Err(FsError::NotFound) => {
-                    // The file vanished at the origin (removed);
-                    // reconciliation of its directory will carry the
-                    // tombstone. Drop the note.
-                    continue;
-                }
-                Err(e @ (FsError::Unreachable | FsError::TimedOut)) => {
-                    tally_failure(&mut stats, health, origin, now, &e, 1);
-                    requeue_group(phys, health, origin, vec![(file, entry)]);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            let result = propagate_one(
-                phys,
-                access.as_ref(),
-                file,
-                &remote_attrs,
-                lcache,
-                &mut stats,
-            );
+            let result = remote_attrs.and_then(|attrs| {
+                propagate_one(phys, access.as_ref(), file, &attrs, lcache, &mut stats)
+            });
             match result {
                 Ok(()) => {}
+                // The file vanished at the origin (removed), before or
+                // mid-pull; reconciliation of its directory will carry the
+                // tombstone. Drop the note.
+                Err(FsError::NotFound) => {}
                 Err(e @ (FsError::Unreachable | FsError::TimedOut)) => {
                     tally_failure(&mut stats, health, origin, now, &e, 1);
                     requeue_group(phys, health, origin, vec![(file, entry)]);
-                }
-                Err(FsError::NotFound) => {
-                    // Vanished mid-pull; same as above — drop the note.
                 }
                 Err(e) => return Err(e),
             }
@@ -356,16 +352,8 @@ fn propagate_one(
             return Ok(());
         }
         let out = recon::reconcile_dir(phys, access, file)?;
-        // Everything the reconciliation step did on our behalf is this
-        // daemon run's work; losing it undercounts the pass (and E7).
         stats.dirs_reconciled += 1;
-        stats.files_pulled += out.files_pulled;
-        stats.entries_inserted += out.entries_inserted;
-        stats.entries_tombstoned += out.entries_tombstoned;
-        stats.conflicts += out.update_conflicts;
-        stats.rpcs_saved += out.rpcs_saved;
-        stats.bytes_fetched += out.bytes_fetched;
-        stats.identical_merges += out.identical_merges;
+        stats.absorb_recon(&out);
         if let Some(lc) = lcache {
             if out.files_pulled
                 + out.entries_inserted
@@ -382,62 +370,20 @@ fn propagate_one(
         }
         return Ok(());
     }
-    let local_vv = match phys.file_vv(file) {
-        Ok(vv) => vv,
-        Err(FsError::NotFound) => {
-            // Entry/data not here yet; subtree reconciliation will adopt it.
-            return Ok(());
-        }
-        Err(e) => return Err(e),
-    };
-    if local_vv.covers(&remote_attrs.vv) {
+    // "For regular files, update propagation is simply a matter of
+    // atomically replacing the contents of the local replica with those of
+    // a newer version remote replica" — the same step reconciliation takes.
+    let mut out = ReconStats::default();
+    let step = recon::reconcile_file_with_attrs(phys, access, file, remote_attrs, &mut out);
+    stats.absorb_recon(&out);
+    let step = step?;
+    if step == FileStep::Current {
         stats.already_current += 1;
-        return Ok(());
     }
-    if local_vv.concurrent_with(&remote_attrs.vv) {
-        // Same dedup as reconciliation: a divergence already on file is
-        // neither re-fetched nor re-reported (a subtree pass may have
-        // beaten this note to it).
-        if phys
-            .conflicts()
-            .for_file(file)
-            .iter()
-            .any(|r| r.other == access.replica() && r.vv == remote_attrs.vv)
-        {
-            stats.rpcs_saved += 1;
-            return Ok(());
-        }
-        let pulled = fetch_file_delta(access, phys, file)?;
-        stats.bytes_fetched += pulled.bytes_fetched;
-        stats.blocks_shipped += pulled.blocks_shipped;
-        stats.blocks_reused += pulled.blocks_reused;
-        let data = pulled.data;
-        let size = phys.storage_attr(file)?.size as usize;
-        if phys.read(file, 0, size)?[..] == data[..] {
-            // Same bytes under divergent histories — a false conflict:
-            // join the vectors in place, nothing to stash or report.
-            phys.absorb_identical_version(file, &remote_attrs.vv)?;
-            stats.identical_merges += 1;
-            if let Some(lc) = lcache {
-                lc.invalidate_file(phys.volume(), file);
-            }
-            return Ok(());
-        }
-        phys.stash_conflict_version(file, access.replica(), &remote_attrs.vv, &data)?;
-        stats.conflicts += 1;
-        if let Some(lc) = lcache {
+    if let Some(lc) = lcache {
+        if step.changed_state() {
             lc.invalidate_file(phys.volume(), file);
         }
-        return Ok(());
-    }
-    let pulled = fetch_file_delta(access, phys, file)?;
-    stats.bytes_fetched += pulled.bytes_fetched;
-    stats.blocks_shipped += pulled.blocks_shipped;
-    stats.blocks_reused += pulled.blocks_reused;
-    phys.apply_remote_version(file, &remote_attrs.vv, &pulled.data)?;
-    stats.files_pulled += 1;
-    if let Some(lc) = lcache {
-        lc.invalidate_file(phys.volume(), file);
     }
     Ok(())
 }

@@ -8,14 +8,16 @@ use ficus_ufs::{Disk, Geometry, Ufs, UfsParams};
 use ficus_vnode::{FsError, TimeSource, VnodeType};
 use ficus_vv::VersionVector;
 
+use crate::access::tests::Instrumented;
 use crate::access::{LocalAccess, ReplicaAccess};
+use crate::conflict::ConflictKind;
 use crate::health::{HealthParams, PeerHealth};
 use crate::ids::{FicusFileId, ReplicaId, VolumeName, ROOT_FILE};
 use crate::phys::{FicusPhysical, PhysParams};
 use crate::propagate::{
     run_propagation, run_propagation_with_health, PropagationPolicy, UpdateNote,
 };
-use crate::recon::reconcile_subtree;
+use crate::recon::{reconcile_file, reconcile_subtree, FileStep, ReconStats};
 
 fn mk_replica(me: u32, clock: &Arc<SimClock>) -> Arc<FicusPhysical> {
     let ufs = Ufs::format_with_clock(
@@ -59,23 +61,197 @@ fn note_wire_round_trip() {
     assert!(UpdateNote::decode(b"junk").is_err());
 }
 
+/// One way the puller's copy can relate to the origin's when a daemon
+/// looks at the file.
+struct Relation {
+    name: &'static str,
+    /// Puts the pair in the relation (both hold the file as "base") and
+    /// names the file to look at.
+    arrange: fn(&Arc<FicusPhysical>, &Arc<FicusPhysical>, FicusFileId) -> FicusFileId,
+    step: FileStep,
+    /// Exchanges after the attribute one, by control-name prefix.
+    pull: &'static [&'static str],
+    /// What the puller reads from the file afterwards (`None`: no copy).
+    content: Option<&'static [u8]>,
+}
+
+fn diverge(origin: &FicusPhysical, puller: &FicusPhysical, f: FicusFileId, puller_writes: &[u8]) {
+    origin.write(f, 0, b"a-side").unwrap();
+    puller.write(f, 0, puller_writes).unwrap();
+}
+
+const RELATIONS: [Relation; 6] = [
+    Relation {
+        name: "covered",
+        arrange: |_, _, f| f,
+        step: FileStep::Current,
+        pull: &[],
+        content: Some(b"base"),
+    },
+    Relation {
+        name: "dominated",
+        arrange: |origin, _, f| {
+            origin.write(f, 0, b"v2").unwrap();
+            f
+        },
+        step: FileStep::Applied,
+        pull: &[";f;map;", ";f;id;"],
+        content: Some(b"v2se"),
+    },
+    Relation {
+        name: "concurrent, new",
+        arrange: |origin, puller, f| {
+            diverge(origin, puller, f, b"b-side");
+            f
+        },
+        step: FileStep::Stashed,
+        pull: &[";f;map;", ";f;id;"],
+        content: Some(b"b-side"),
+    },
+    Relation {
+        name: "concurrent, already reported",
+        arrange: |origin, puller, f| {
+            diverge(origin, puller, f, b"b-side");
+            // A subtree pass beat this look to the divergence.
+            reconcile_subtree(puller, &LocalAccess::new(Arc::clone(origin))).unwrap();
+            f
+        },
+        step: FileStep::AlreadyReported,
+        pull: &[],
+        content: Some(b"b-side"),
+    },
+    Relation {
+        name: "concurrent, identical bytes",
+        arrange: |origin, puller, f| {
+            diverge(origin, puller, f, b"a-side");
+            f
+        },
+        step: FileStep::Absorbed,
+        pull: &[";f;map;", ";f;id;"],
+        content: Some(b"a-side"),
+    },
+    Relation {
+        name: "not stored here",
+        arrange: |origin, _, _| {
+            let late = origin
+                .create(ROOT_FILE, "late", VnodeType::Regular)
+                .unwrap();
+            origin.write(late, 0, b"unseen").unwrap();
+            late
+        },
+        step: FileStep::NotStored,
+        pull: &[],
+        content: None,
+    },
+];
+
+/// The reconciliation pass and the propagation daemon take one step per
+/// file through `reconcile_file_with_attrs`: for every relation, the same
+/// exchanges, the same tallies, the same replica state afterwards.
 #[test]
-fn immediate_policy_pulls_noted_file() {
-    let clock = SimClock::new();
-    let a = mk_replica(1, &clock);
-    let b = mk_replica(2, &clock);
-    // Shared file everywhere.
-    let f = a.create(ROOT_FILE, "f", VnodeType::Regular).unwrap();
-    a.write(f, 0, b"v1").unwrap();
-    reconcile_subtree(&b, &LocalAccess::new(Arc::clone(&a))).unwrap();
-    // A updates and B is notified.
-    a.write(f, 0, b"v2").unwrap();
-    b.note_new_version(f, ReplicaId(1), VersionVector::new());
-    let stats = run_propagation(&b, PropagationPolicy::Immediate, connect_to(&a)).unwrap();
-    assert_eq!(stats.notes_taken, 1);
-    assert_eq!(stats.files_pulled, 1);
-    assert_eq!(&b.read(f, 0, 10).unwrap()[..], b"v2");
-    assert_eq!(b.pending_notifications(), 0);
+fn both_daemons_decide_every_relation_the_same_way() {
+    for rel in &RELATIONS {
+        let mut tallies = Vec::new();
+        for via_propagation in [false, true] {
+            let what = format!("{}, via_propagation={via_propagation}", rel.name);
+            let clock = SimClock::new();
+            let origin = mk_replica(1, &clock);
+            let puller = mk_replica(2, &clock);
+            let shared = origin
+                .create(ROOT_FILE, "shared", VnodeType::Regular)
+                .unwrap();
+            origin.write(shared, 0, b"base").unwrap();
+            reconcile_subtree(&puller, &LocalAccess::new(Arc::clone(&origin))).unwrap();
+            let f = (rel.arrange)(&origin, &puller, shared);
+
+            let access = Arc::new(Instrumented::new(LocalAccess::new(Arc::clone(&origin))));
+            // (files pulled, conflicts, identical merges, rpcs saved, bytes)
+            let tally = if via_propagation {
+                puller.note_new_version(f, ReplicaId(1), VersionVector::new());
+                let connect = |_| Ok(Box::new(Arc::clone(&access)) as Box<dyn ReplicaAccess>);
+                let s = run_propagation(&puller, PropagationPolicy::Immediate, connect).unwrap();
+                assert_eq!(s.notes_taken, 1, "{what}");
+                assert_eq!(puller.pending_notifications(), 0, "{what}: note consumed");
+                assert_eq!(
+                    s.already_current,
+                    u64::from(rel.step == FileStep::Current),
+                    "{what}"
+                );
+                (
+                    s.files_pulled,
+                    s.conflicts,
+                    s.identical_merges,
+                    s.rpcs_saved,
+                    s.bytes_fetched,
+                )
+            } else {
+                let mut s = ReconStats::default();
+                let step = reconcile_file(&puller, &*access, f, &mut s).unwrap();
+                assert_eq!(step, rel.step, "{what}");
+                (
+                    s.files_pulled,
+                    s.update_conflicts,
+                    s.identical_merges,
+                    s.rpcs_saved,
+                    s.bytes_fetched,
+                )
+            };
+            let (pulled, conflicts, merges, saved) = match rel.step {
+                FileStep::Applied => (1, 0, 0, 0),
+                FileStep::Stashed => (0, 1, 0, 0),
+                FileStep::Absorbed => (0, 0, 1, 0),
+                // The data fetch a known divergence does not repeat.
+                FileStep::AlreadyReported => (0, 0, 0, 1),
+                _ => (0, 0, 0, 0),
+            };
+            assert_eq!(
+                (tally.0, tally.1, tally.2, tally.3),
+                (pulled, conflicts, merges, saved),
+                "{what}"
+            );
+            assert_eq!(tally.4 > 0, !rel.pull.is_empty(), "{what}: bytes fetched");
+            tallies.push(tally);
+
+            let mut asked = access.take_prefixes();
+            assert_eq!(asked.remove(0), ";f;vv;", "{what}");
+            assert_eq!(asked, rel.pull, "{what}");
+
+            match rel.content {
+                Some(want) => assert_eq!(&puller.read(f, 0, 100).unwrap()[..], want, "{what}"),
+                None => assert!(puller.file_vv(f).is_err(), "{what}"),
+            }
+            let reports = puller
+                .conflicts()
+                .count_kind(ConflictKind::ConcurrentUpdate);
+            let stashed = matches!(rel.step, FileStep::Stashed | FileStep::AlreadyReported);
+            assert_eq!(
+                reports,
+                usize::from(stashed),
+                "{what}: reported exactly once"
+            );
+            if stashed {
+                // Local content untouched; remote stashed; owner notified.
+                assert_eq!(
+                    &puller.read_conflict_version(f, ReplicaId(1)).unwrap()[..],
+                    b"a-side",
+                    "{what}"
+                );
+                assert!(puller.repl_attrs(f).unwrap().conflict, "{what}");
+            }
+            if rel.step == FileStep::Applied {
+                assert_eq!(puller.file_vv(f).unwrap(), origin.file_vv(f).unwrap());
+            }
+            if rel.step == FileStep::Absorbed {
+                let attrs = puller.repl_attrs(f).unwrap();
+                assert!(!attrs.conflict, "{what}: no conflict flagged");
+                assert!(
+                    attrs.vv.covers(&origin.file_vv(f).unwrap()),
+                    "{what}: histories joined in place"
+                );
+            }
+        }
+        assert_eq!(tallies[0], tallies[1], "{}: counted differently", rel.name);
+    }
 }
 
 #[test]
@@ -173,62 +349,6 @@ fn backed_off_origin_is_skipped_without_wire_traffic() {
         b.pending_notifications(),
         1,
         "the note waits for the window"
-    );
-}
-
-#[test]
-fn stale_note_is_already_current() {
-    let clock = SimClock::new();
-    let a = mk_replica(1, &clock);
-    let b = mk_replica(2, &clock);
-    let f = a.create(ROOT_FILE, "f", VnodeType::Regular).unwrap();
-    a.write(f, 0, b"v1").unwrap();
-    reconcile_subtree(&b, &LocalAccess::new(Arc::clone(&a))).unwrap();
-    // Note arrives although B already pulled the version via recon.
-    b.note_new_version(f, ReplicaId(1), VersionVector::new());
-    let stats = run_propagation(&b, PropagationPolicy::Immediate, connect_to(&a)).unwrap();
-    assert_eq!(stats.already_current, 1);
-    assert_eq!(stats.files_pulled, 0);
-}
-
-#[test]
-fn concurrent_pull_becomes_conflict() {
-    let clock = SimClock::new();
-    let a = mk_replica(1, &clock);
-    let b = mk_replica(2, &clock);
-    let f = a.create(ROOT_FILE, "f", VnodeType::Regular).unwrap();
-    a.write(f, 0, b"base").unwrap();
-    reconcile_subtree(&b, &LocalAccess::new(Arc::clone(&a))).unwrap();
-    // Diverge.
-    a.write(f, 0, b"a-side").unwrap();
-    b.write(f, 0, b"b-side").unwrap();
-    b.note_new_version(f, ReplicaId(1), VersionVector::new());
-    let stats = run_propagation(&b, PropagationPolicy::Immediate, connect_to(&a)).unwrap();
-    assert_eq!(stats.conflicts, 1);
-    assert_eq!(&b.read(f, 0, 10).unwrap()[..], b"b-side");
-    assert!(b.repl_attrs(f).unwrap().conflict);
-}
-
-#[test]
-fn concurrent_identical_bytes_are_absorbed_not_stashed() {
-    let clock = SimClock::new();
-    let a = mk_replica(1, &clock);
-    let b = mk_replica(2, &clock);
-    let f = a.create(ROOT_FILE, "f", VnodeType::Regular).unwrap();
-    a.write(f, 0, b"base").unwrap();
-    reconcile_subtree(&b, &LocalAccess::new(Arc::clone(&a))).unwrap();
-    // Diverged histories, same bytes — the false conflict.
-    a.write(f, 0, b"same").unwrap();
-    b.write(f, 0, b"same").unwrap();
-    b.note_new_version(f, ReplicaId(1), VersionVector::new());
-    let stats = run_propagation(&b, PropagationPolicy::Immediate, connect_to(&a)).unwrap();
-    assert_eq!(stats.identical_merges, 1);
-    assert_eq!(stats.conflicts, 0);
-    let attrs = b.repl_attrs(f).unwrap();
-    assert!(!attrs.conflict, "no conflict flagged");
-    assert!(
-        attrs.vv.covers(&a.file_vv(f).unwrap()),
-        "histories joined in place"
     );
 }
 

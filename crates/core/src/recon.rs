@@ -35,9 +35,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use ficus_vnode::{FsError, FsResult};
 
-use crate::access::{fetch_file_delta, ReplicaAccess};
+use crate::access::{pull_file, FilePull, ReplicaAccess};
 use crate::attrs::ReplAttrs;
 use crate::changelog::ChangeRecord;
+use crate::dirfile::FicusEntry;
 use crate::ids::{FicusFileId, ROOT_FILE};
 use crate::phys::FicusPhysical;
 
@@ -58,12 +59,12 @@ pub struct ReconStats {
     pub update_conflicts: u64,
     /// Subtrees skipped because the remote replica was missing them.
     pub remote_missing: u64,
-    /// Per-file protocol operations the batched plan answered from a bulk
-    /// response instead of issuing individually: child attribute reads
-    /// served by the directory snapshot, and conflict data fetches skipped
-    /// because the divergence was already on file. How many wire round
-    /// trips each avoided operation would have cost is the transport's
-    /// business; `NetStats` measures that.
+    /// Per-file protocol operations answered from a bulk response instead
+    /// of issued individually: child attribute reads served by the
+    /// directory snapshot, and conflict data fetches skipped because the
+    /// divergence was already on file. How many wire round trips each
+    /// avoided operation would have cost is the transport's business;
+    /// `NetStats` measures that.
     pub rpcs_saved: u64,
     /// File data bytes pulled from the remote.
     pub bytes_fetched: u64,
@@ -85,7 +86,7 @@ pub struct ReconStats {
     /// automatic resolutions converge through this counter.
     pub identical_merges: u64,
     /// Chunks shipped over the wire by delta-aware pulls (DESIGN.md
-    /// §4.13). Whole-file fallback fetches count zero here; their cost
+    /// §4.13). Whole-file pulls count zero here; their cost
     /// shows up in `bytes_fetched` alone.
     pub blocks_shipped: u64,
     /// Chunks a delta-aware pull reused from the local replica instead of
@@ -113,6 +114,12 @@ impl ReconStats {
         self.blocks_reused += other.blocks_reused;
     }
 
+    fn count_pull(&mut self, pulled: &FilePull) {
+        self.bytes_fetched += pulled.bytes_fetched;
+        self.blocks_shipped += pulled.blocks_shipped;
+        self.blocks_reused += pulled.blocks_reused;
+    }
+
     /// Whether the pass changed nothing (used to detect convergence).
     /// Deliberately ignores the cost counters (`rpcs_saved`,
     /// `bytes_fetched` can be non-zero on a pass that changed no state) and
@@ -130,6 +137,41 @@ impl ReconStats {
     }
 }
 
+/// What [`reconcile_file_with_attrs`] did with one file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FileStep {
+    /// The remote replica does not know the file.
+    RemoteMissing,
+    /// This replica stores no copy; the file's entry (and its adoption)
+    /// rides its parent directory's reconciliation.
+    NotStored,
+    /// The local history covers the remote's: nothing to do.
+    Current,
+    /// Concurrent histories, and this exact divergence is already on file:
+    /// neither re-fetched nor re-reported.
+    AlreadyReported,
+    /// Concurrent histories over identical bytes — a false conflict: the
+    /// vectors were joined in place.
+    Absorbed,
+    /// Concurrent histories: the remote version was stashed and the
+    /// conflict reported to the owner; both versions preserved.
+    Stashed,
+    /// The remote history dominated: its version replaced the local one.
+    Applied,
+}
+
+impl FileStep {
+    /// Whether the step changed local replica state (what a co-resident
+    /// cache must hear about).
+    #[must_use]
+    pub fn changed_state(self) -> bool {
+        matches!(
+            self,
+            FileStep::Absorbed | FileStep::Stashed | FileStep::Applied
+        )
+    }
+}
+
 /// Reconciles the contents of one regular file against the remote replica.
 ///
 /// Pulls when the remote history dominates, does nothing when the local one
@@ -139,69 +181,65 @@ pub fn reconcile_file(
     remote: &dyn ReplicaAccess,
     file: FicusFileId,
     stats: &mut ReconStats,
-) -> FsResult<()> {
-    let remote_attrs = match remote.fetch_attrs(file) {
-        Ok(a) => a,
+) -> FsResult<FileStep> {
+    match remote.attrs(&[file])?.pop().ok_or(FsError::Io)? {
+        Ok(a) => reconcile_file_with_attrs(local, remote, file, &a, stats),
         Err(FsError::NotFound) => {
             stats.remote_missing += 1;
-            return Ok(());
+            Ok(FileStep::RemoteMissing)
         }
-        Err(e) => return Err(e),
-    };
-    reconcile_file_with_attrs(local, remote, file, &remote_attrs, stats)
+        Err(e) => Err(e),
+    }
 }
 
-/// [`reconcile_file`] when the remote attributes are already in hand (e.g.
-/// from a bulk directory fetch) — the version-vector comparison, the
-/// conflict report, and the data pull, without the attribute round trip.
+/// [`reconcile_file`] when the remote attributes are already in hand (from
+/// a bulk directory or attribute fetch). The only place that compares the
+/// two vectors, recognizes a divergence already on file, pulls, and then
+/// applies, absorbs or stashes — both daemons decide through it.
 pub fn reconcile_file_with_attrs(
     local: &FicusPhysical,
     remote: &dyn ReplicaAccess,
     file: FicusFileId,
     remote_attrs: &ReplAttrs,
     stats: &mut ReconStats,
-) -> FsResult<()> {
-    let local_vv = local.file_vv(file)?;
+) -> FsResult<FileStep> {
+    let local_vv = match local.file_vv(file) {
+        Ok(vv) => vv,
+        Err(FsError::NotFound) => return Ok(FileStep::NotStored),
+        Err(e) => return Err(e),
+    };
     if local_vv.covers(&remote_attrs.vv) {
-        return Ok(());
+        return Ok(FileStep::Current);
     }
-    if local_vv.concurrent_with(&remote_attrs.vv) {
-        // Detected and reported to the owner; both versions preserved.
-        // The dedup check comes before the data fetch: a divergence that is
-        // already on file costs no transfer on later passes.
-        if local
+    let concurrent = local_vv.concurrent_with(&remote_attrs.vv);
+    // The dedup check comes before the data fetch: a divergence that is
+    // already on file costs no transfer on later passes.
+    if concurrent
+        && local
             .conflicts()
             .for_file(file)
             .iter()
             .any(|r| r.other == remote.replica() && r.vv == remote_attrs.vv)
-        {
-            stats.rpcs_saved += 1; // the data fetch we did not repeat
-            return Ok(()); // already reported this exact divergence
-        }
-        let pulled = fetch_file_delta(remote, local, file)?;
-        stats.bytes_fetched += pulled.bytes_fetched;
-        stats.blocks_shipped += pulled.blocks_shipped;
-        stats.blocks_reused += pulled.blocks_reused;
-        let data = pulled.data;
-        let size = local.storage_attr(file)?.size as usize;
-        if local.read(file, 0, size)?[..] == data[..] {
-            // Same bytes under divergent histories — a false conflict:
-            // join the vectors in place, nothing to stash or report.
-            local.absorb_identical_version(file, &remote_attrs.vv)?;
-            stats.identical_merges += 1;
-            return Ok(());
-        }
-        local.stash_conflict_version(file, remote.replica(), &remote_attrs.vv, &data)?;
-        stats.update_conflicts += 1;
-        return Ok(());
+    {
+        stats.rpcs_saved += 1; // the data fetch we did not repeat
+        return Ok(FileStep::AlreadyReported);
     }
-    let pulled = fetch_file_delta(remote, local, file)?;
-    stats.bytes_fetched += pulled.bytes_fetched;
-    stats.blocks_shipped += pulled.blocks_shipped;
-    stats.blocks_reused += pulled.blocks_reused;
-    local.apply_remote_version(file, &remote_attrs.vv, &pulled.data)?;
-    stats.files_pulled += 1;
-    Ok(())
+    let pulled = pull_file(remote, Some(local), file)?;
+    stats.count_pull(&pulled);
+    if !concurrent {
+        local.apply_remote_version(file, &remote_attrs.vv, &pulled.data)?;
+        stats.files_pulled += 1;
+        return Ok(FileStep::Applied);
+    }
+    let size = local.storage_attr(file)?.size as usize;
+    if local.read(file, 0, size)?[..] == pulled.data[..] {
+        local.absorb_identical_version(file, &remote_attrs.vv)?;
+        stats.identical_merges += 1;
+        return Ok(FileStep::Absorbed);
+    }
+    local.stash_conflict_version(file, remote.replica(), &remote_attrs.vv, &pulled.data)?;
+    stats.update_conflicts += 1;
+    Ok(FileStep::Stashed)
 }
 
 /// Reconciles one directory (entries, adopted children, file contents)
@@ -215,7 +253,7 @@ pub fn reconcile_dir(
     // One bulk fetch answers the directory's entry set, its attributes, and
     // every live child's attributes; a child absent from the map is a child
     // the remote could not describe, i.e. a per-file `NotFound`.
-    let dx = match remote.fetch_dir_with_children(dir) {
+    let dx = match remote.dir_with_children(dir) {
         Ok(x) => x,
         Err(FsError::NotFound) => {
             stats.remote_missing += 1;
@@ -229,6 +267,17 @@ pub fn reconcile_dir(
     stats.entries_tombstoned += out.tombstoned.len() as u64;
     stats.tombstones_purged += out.purged.len() as u64;
 
+    // Storage for a regular file this replica has an entry for but no copy
+    // of: the pull knows there is nothing local to build on and does not
+    // probe for it.
+    let adopt_file = |entry: &FicusEntry, attrs: &ReplAttrs, stats: &mut ReconStats| {
+        let pulled = pull_file(remote, None, entry.file)?;
+        stats.count_pull(&pulled);
+        local.adopt_file(dir, entry.file, entry.kind, &attrs.vv, &pulled.data)?;
+        stats.files_pulled += 1;
+        Ok::<(), FsError>(())
+    };
+
     // Materialize storage for adopted entries.
     for id in &out.inserted {
         let Some(entry) = dx.entries.find(*id) else {
@@ -241,10 +290,7 @@ pub fn reconcile_dir(
         if entry.kind.is_directory_like() {
             local.adopt_dir(dir, entry.file, entry.kind, &child_attrs.vv)?;
         } else {
-            let data = remote.fetch_data(entry.file)?;
-            stats.bytes_fetched += data.len() as u64;
-            local.adopt_file(dir, entry.file, entry.kind, &child_attrs.vv, &data)?;
-            stats.files_pulled += 1;
+            adopt_file(entry, child_attrs, &mut stats)?;
         }
     }
 
@@ -254,25 +300,19 @@ pub fn reconcile_dir(
         if entry.kind.is_directory_like() {
             continue;
         }
-        let remote_attrs = dx.children.get(&entry.file);
-        if local.file_vv(entry.file).is_err() {
-            // Entry known but storage never arrived (e.g. a previous pass
-            // was interrupted): try to adopt now.
-            if let Some(attrs) = remote_attrs {
-                stats.rpcs_saved += 1;
-                let data = remote.fetch_data(entry.file)?;
-                stats.bytes_fetched += data.len() as u64;
-                local.adopt_file(dir, entry.file, entry.kind, &attrs.vv, &data)?;
-                stats.files_pulled += 1;
+        let Some(attrs) = dx.children.get(&entry.file) else {
+            if local.file_vv(entry.file).is_ok() {
+                stats.remote_missing += 1; // local-only entry
             }
             continue;
-        }
-        match remote_attrs {
-            Some(attrs) => {
-                stats.rpcs_saved += 1;
-                reconcile_file_with_attrs(local, remote, entry.file, attrs, &mut stats)?;
-            }
-            None => stats.remote_missing += 1, // local-only entry
+        };
+        stats.rpcs_saved += 1;
+        if local.file_vv(entry.file).is_err() {
+            // Entry known but storage never arrived (e.g. a previous pass
+            // was interrupted): adopt now.
+            adopt_file(entry, attrs, &mut stats)?;
+        } else {
+            reconcile_file_with_attrs(local, remote, entry.file, attrs, &mut stats)?;
         }
     }
     Ok(stats)
@@ -329,7 +369,7 @@ pub fn reconcile_incremental(
 ) -> FsResult<ReconStats> {
     let peer = remote.replica();
     let cursor = local.peer_cursor(peer);
-    let suffix = remote.fetch_changes(cursor.unwrap_or(0))?;
+    let suffix = remote.changes(cursor.unwrap_or(0))?;
     let usable = cursor.is_some() && !suffix.truncated;
     if !usable {
         if cursor.is_some() {
@@ -378,10 +418,12 @@ pub fn reconcile_incremental(
         files.push(r.file);
     }
     if !files.is_empty() {
-        let attrs = remote.fetch_attrs_bulk(&files)?;
+        let attrs = remote.attrs(&files)?;
         for (file, item) in files.iter().zip(attrs) {
             match item {
-                Ok(a) => reconcile_file_with_attrs(local, remote, *file, &a, &mut stats)?,
+                Ok(a) => {
+                    reconcile_file_with_attrs(local, remote, *file, &a, &mut stats)?;
+                }
                 Err(FsError::NotFound) => stats.remote_missing += 1,
                 Err(e) => return Err(e),
             }

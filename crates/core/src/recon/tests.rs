@@ -5,6 +5,7 @@ use std::sync::Arc;
 use ficus_ufs::{Disk, Geometry, Ufs, UfsParams};
 use ficus_vnode::{FileSystem, LogicalClock, TimeSource, VnodeType};
 
+use crate::access::tests::Instrumented;
 use crate::access::{LocalAccess, VnodeAccess};
 use crate::conflict::ConflictKind;
 use crate::ids::{FicusFileId, ReplicaId, VolumeName, ROOT_FILE};
@@ -117,47 +118,9 @@ fn remote_subtree_is_adopted_recursively() {
     assert_same_tree(&a, &b);
 }
 
-#[test]
-fn dominated_update_is_pulled() {
-    let (a, b) = pair();
-    let f = a.create(ROOT_FILE, "shared", VnodeType::Regular).unwrap();
-    a.write(f, 0, b"v1").unwrap();
-    converge(&[&a, &b]);
-    // B updates; A pulls.
-    b.write(f, 0, b"v2").unwrap();
-    let mut stats = ReconStats::default();
-    reconcile_file(&a, &LocalAccess::new(Arc::clone(&b)), f, &mut stats).unwrap();
-    assert_eq!(stats.files_pulled, 1);
-    assert_eq!(&a.read(f, 0, 10).unwrap()[..], b"v2");
-    assert_eq!(a.file_vv(f).unwrap(), b.file_vv(f).unwrap());
-}
-
-#[test]
-fn concurrent_updates_conflict_and_are_reported_once() {
-    let (a, b) = pair();
-    let f = a.create(ROOT_FILE, "shared", VnodeType::Regular).unwrap();
-    a.write(f, 0, b"base").unwrap();
-    converge(&[&a, &b]);
-    // Partitioned updates.
-    a.write(f, 0, b"a-side").unwrap();
-    b.write(f, 0, b"b-side").unwrap();
-    let mut stats = ReconStats::default();
-    let access = LocalAccess::new(Arc::clone(&b));
-    reconcile_file(&a, &access, f, &mut stats).unwrap();
-    assert_eq!(stats.update_conflicts, 1);
-    // Local content untouched; remote stashed; owner notified.
-    assert_eq!(&a.read(f, 0, 10).unwrap()[..], b"a-side");
-    assert_eq!(
-        &a.read_conflict_version(f, ReplicaId(2)).unwrap()[..],
-        b"b-side"
-    );
-    assert_eq!(a.conflicts().count_kind(ConflictKind::ConcurrentUpdate), 1);
-    // Re-running recon does not duplicate the report.
-    let mut stats2 = ReconStats::default();
-    reconcile_file(&a, &access, f, &mut stats2).unwrap();
-    assert_eq!(stats2.update_conflicts, 0);
-    assert_eq!(a.conflicts().count_kind(ConflictKind::ConcurrentUpdate), 1);
-}
+// The per-relation file cases (covered, dominated, concurrent and its
+// variants, not stored here) are one table driven through both daemons:
+// `propagate::tests::both_daemons_decide_every_relation_the_same_way`.
 
 #[test]
 fn conflict_resolution_then_propagation() {
@@ -353,62 +316,22 @@ fn flat_layout_reconciles_identically() {
     assert_same_tree(&a, &b);
 }
 
-/// A [`ReplicaAccess`] wrapper that records which directories were fetched
-/// (in order) and how many file-data fetches went through.
-struct Instrumented<A> {
-    inner: A,
-    dirs: parking_lot::Mutex<Vec<FicusFileId>>,
-    data_fetches: std::sync::atomic::AtomicU64,
-}
-
-impl<A: crate::access::ReplicaAccess> Instrumented<A> {
-    fn new(inner: A) -> Self {
-        Instrumented {
-            inner,
-            dirs: parking_lot::Mutex::new(Vec::new()),
-            data_fetches: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    fn data_fetches(&self) -> u64 {
-        self.data_fetches.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-impl<A: crate::access::ReplicaAccess> crate::access::ReplicaAccess for Instrumented<A> {
-    fn replica(&self) -> ReplicaId {
-        self.inner.replica()
-    }
-
-    fn fetch_attrs(&self, file: FicusFileId) -> ficus_vnode::FsResult<crate::attrs::ReplAttrs> {
-        self.inner.fetch_attrs(file)
-    }
-
-    fn fetch_data(&self, file: FicusFileId) -> ficus_vnode::FsResult<Vec<u8>> {
-        self.data_fetches
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.inner.fetch_data(file)
-    }
-
-    fn fetch_dir(
-        &self,
-        dir: FicusFileId,
-    ) -> ficus_vnode::FsResult<(crate::dirfile::FicusDir, crate::attrs::ReplAttrs)> {
-        self.dirs.lock().push(dir);
-        self.inner.fetch_dir(dir)
-    }
-
-    fn fetch_dir_with_children(
-        &self,
-        dir: FicusFileId,
-    ) -> ficus_vnode::FsResult<crate::access::DirWithChildren> {
-        self.dirs.lock().push(dir);
-        self.inner.fetch_dir_with_children(dir)
-    }
-
-    fn fetch_changes(&self, from: u64) -> ficus_vnode::FsResult<crate::changelog::LogSuffix> {
-        self.inner.fetch_changes(from)
-    }
+/// The directories a pass fetched, in order, and how many exchanges carried
+/// file contents — read off the control names [`Instrumented`] logged.
+fn dirs_and_data_fetches<A: crate::access::ReplicaAccess>(
+    access: &Instrumented<A>,
+) -> (Vec<FicusFileId>, usize) {
+    let names: Vec<String> = access.take().into_iter().flatten().collect();
+    let dirs = names
+        .iter()
+        .filter_map(|n| n.strip_prefix(";f;dirx;"))
+        .map(|hex| FicusFileId::from_hex(hex).unwrap())
+        .collect();
+    let data = names
+        .iter()
+        .filter(|n| n.starts_with(";f;id;") || n.starts_with(";f;blk;"))
+        .count();
+    (dirs, data)
 }
 
 #[test]
@@ -426,7 +349,7 @@ fn subtree_reconciliation_visits_breadth_first() {
     let access = Instrumented::new(LocalAccess::new(Arc::clone(&b)));
     reconcile_subtree(&a, &access).unwrap();
 
-    let visited = access.dirs.lock().clone();
+    let (visited, _) = dirs_and_data_fetches(&access);
     assert_eq!(visited.len(), 5, "each directory fetched exactly once");
     assert_eq!(visited[0], ROOT_FILE);
     let depth = |f: FicusFileId| -> usize {
@@ -446,38 +369,6 @@ fn subtree_reconciliation_visits_breadth_first() {
         depths, sorted,
         "visit order {visited:?} is not breadth-first"
     );
-}
-
-#[test]
-fn reported_conflict_is_not_refetched() {
-    // Once a divergence has been stashed and reported, later passes must
-    // recognize it from the conflict registry BEFORE paying for the remote
-    // data again.
-    let (a, b) = pair();
-    let f = a.create(ROOT_FILE, "shared", VnodeType::Regular).unwrap();
-    a.write(f, 0, b"base").unwrap();
-    converge(&[&a, &b]);
-    a.write(f, 0, b"a-side").unwrap();
-    b.write(f, 0, &b"b-side, a large payload ".repeat(10))
-        .unwrap();
-
-    let access = Instrumented::new(LocalAccess::new(Arc::clone(&b)));
-    let mut stats = ReconStats::default();
-    reconcile_file(&a, &access, f, &mut stats).unwrap();
-    assert_eq!(stats.update_conflicts, 1);
-    assert_eq!(access.data_fetches(), 1);
-    assert!(stats.bytes_fetched > 0);
-
-    let mut stats2 = ReconStats::default();
-    reconcile_file(&a, &access, f, &mut stats2).unwrap();
-    assert_eq!(stats2.update_conflicts, 0);
-    assert_eq!(
-        access.data_fetches(),
-        1,
-        "already-reported divergence fetched the data again"
-    );
-    assert_eq!(stats2.rpcs_saved, 1);
-    assert_eq!(stats2.bytes_fetched, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -633,8 +524,7 @@ mod incremental {
             stats.dirs_examined, 0,
             "no subtree walk when the log is clean"
         );
-        assert!(access.dirs.lock().is_empty());
-        assert_eq!(access.data_fetches(), 0);
+        assert_eq!(dirs_and_data_fetches(&access), (vec![], 0));
     }
 
     #[test]
@@ -657,9 +547,9 @@ mod incremental {
         let access = Instrumented::new(LocalAccess::new(Arc::clone(&b)));
         let stats = reconcile_incremental(&a, &access).unwrap();
         assert_eq!(stats.files_pulled, 1);
-        assert_eq!(access.data_fetches(), 1);
-        assert!(
-            access.dirs.lock().is_empty(),
+        assert_eq!(
+            dirs_and_data_fetches(&access),
+            (vec![], 1),
             "a file-only dirty set must not trigger directory fetches"
         );
         assert_eq!(&a.read(files[3], 0, 100).unwrap()[..], b"fresh contents");
@@ -680,7 +570,7 @@ mod incremental {
         let stats = reconcile_incremental(&b, &access).unwrap();
         assert!(stats.quiescent());
         assert!(stats.rpcs_saved >= 1, "covered records count as saved work");
-        assert_eq!(access.data_fetches(), 0);
+        assert_eq!(dirs_and_data_fetches(&access).1, 0);
     }
 
     #[test]

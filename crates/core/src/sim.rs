@@ -64,10 +64,6 @@ pub struct WorldParams {
     pub propagation: PropagationPolicy,
     /// Logical-layer tunables.
     pub logical: LogicalParams,
-    /// Whether replica access to remote peers uses the batched
-    /// lookup-and-read RPC (`true`, the default) or the pre-bulk per-file
-    /// protocol (`false` — the measurement baseline for E5/E7).
-    pub batching: bool,
     /// Per-peer health tracking (backoff gating of the propagation and
     /// reconciliation daemons). `None` reverts to the pre-health behavior:
     /// every daemon pass re-probes every peer — the measurement baseline
@@ -110,7 +106,6 @@ impl Default for WorldParams {
             net: NetworkParams::default(),
             propagation: PropagationPolicy::Immediate,
             logical: LogicalParams::default(),
-            batching: true,
             health: Some(HealthParams::default()),
             export_faults: false,
             resolver: None,
@@ -787,12 +782,7 @@ impl FicusWorld {
             &export_service(vol, replica),
             NfsClientParams::uncached(),
         )?;
-        let access = if self.params.batching {
-            VnodeAccess::new(replica, client.root())
-        } else {
-            VnodeAccess::per_file(replica, client.root())
-        };
-        Ok(Box::new(access))
+        Ok(Box::new(VnodeAccess::new(replica, client.root())))
     }
 
     /// Runs one subtree-reconciliation pass at host `h` for every volume

@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
 # Full local verification: everything CI runs, in the same order.
 #
-#   scripts/verify.sh          # build + tests + lints
-#   scripts/verify.sh --quick  # tier-1 only (release build + root-package tests)
+#   scripts/verify.sh          # everything below
+#   scripts/verify.sh --quick  # tier-1, ficus-lint, the chaos smoke and the
+#                              # E10-E13 shape tests; stops before the
+#                              # workspace tests, clippy, fmt and bench-report
+#
+# Either way the last thing printed is scripts/loc.sh: non-test,
+# non-comment Rust lines per crate. It is reported, never gated.
 #
 # Tier-1 (the floor every PR must keep green) is `cargo build --release &&
 # cargo test -q`; note that because the root Cargo.toml is both a workspace
@@ -69,7 +74,8 @@ run cargo test -q -p ficus-bench e12
 run cargo test -q -p ficus-bench e13
 
 if [[ "${1:-}" == "--quick" ]]; then
-    echo "verify: tier-1 OK (quick mode, workspace tests and lints skipped)"
+    scripts/loc.sh
+    echo "verify: quick OK (workspace tests, clippy, fmt and bench-report skipped)"
     exit 0
 fi
 
@@ -91,4 +97,5 @@ run cargo fmt --check
 # regression or commit the regenerated JSON with an explanation.
 run target/release/bench-report --out results --compare results
 
+scripts/loc.sh
 echo "verify: OK"

@@ -104,7 +104,7 @@ fn layers_interpose_transparently_between_nfs_and_physical() {
     assert_eq!(stats.entries_inserted, 1);
     assert_eq!(&local.read(f, 0, 100).unwrap()[..], b"layered");
     // The interposed layer saw the control-plane lookups and data reads.
-    // With the batched protocol, one lookup+read pair fetches the directory
+    // One lookup+read pair fetches the directory
     // (with child attributes) and another pulls the new file's data.
     assert!(counters.get(Op::Lookup) >= 2, "control lookups observed");
     assert!(counters.get(Op::Read) >= 2, "payload reads observed");

@@ -1,17 +1,19 @@
-//! Integration: the batched reconciliation protocol end to end — bulk
-//! fetches over a real NFS client/server pair, transient-failure retry,
-//! requeue accounting across partitions, and convergence under datagram
-//! loss. Companion to the E5/E7 benchmarks, which measure the same RPC
-//! savings at scale.
+//! Integration: the replica-access protocol end to end — control-name
+//! exchanges over a real NFS client/server pair pinned per case and checked
+//! against the in-memory access, transient-failure retry, a link dying
+//! mid-pull, requeue accounting across partitions, and convergence under
+//! datagram loss. Companion to E5b/E7b, which measure the same exchanges
+//! against ideal at scale.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use ficus_repro::core::access::VnodeAccess;
+use ficus_repro::core::access::{LocalAccess, ReplicaAccess, VnodeAccess};
 use ficus_repro::core::ids::{ReplicaId, VolumeName, ROOT_FILE};
 use ficus_repro::core::phys::vnode::PhysFs;
 use ficus_repro::core::phys::{FicusPhysical, PhysParams};
-use ficus_repro::core::recon::reconcile_subtree;
+use ficus_repro::core::propagate::{run_propagation, PropagationPolicy};
+use ficus_repro::core::recon::{reconcile_dir, reconcile_subtree};
 use ficus_repro::core::sim::{FicusWorld, WorldParams};
 use ficus_repro::net::{HostId, Network, NetworkParams, SimClock};
 use ficus_repro::nfs::client::{NfsClientFs, NfsClientParams};
@@ -40,14 +42,93 @@ fn mk_phys(clock: &Arc<SimClock>, me: u32) -> Arc<FicusPhysical> {
     .unwrap()
 }
 
-/// The same divergence reconciled twice over NFS — once with the pre-bulk
-/// per-file protocol, once batched. Identical outcome, at least half the
-/// RPCs saved.
+/// An NFS export of `remote` behind a proxy that logs the control names of
+/// every exchange (one entry per `LookupReadMany` *request*; a retried
+/// request is one exchange) and, once `dead` is set, times every request out.
+struct LoggedExport {
+    net: Network,
+    log: Arc<Mutex<Vec<Vec<String>>>>,
+    dead: Arc<AtomicBool>,
+    /// When set, serving an attribute batch is the link's last act.
+    dies_after_attrs: Arc<AtomicBool>,
+}
+
+impl LoggedExport {
+    fn serve(clock: &Arc<SimClock>, remote: &Arc<FicusPhysical>) -> Self {
+        let net = Network::fully_connected(Arc::clone(clock));
+        let server = NfsServer::new(PhysFs::new(Arc::clone(remote)) as Arc<dyn FileSystem>);
+        let log = Arc::new(Mutex::new(Vec::<Vec<String>>::new()));
+        let dead = Arc::new(AtomicBool::new(false));
+        let dies_after_attrs = Arc::new(AtomicBool::new(false));
+        let (log2, dead2, dies2) = (
+            Arc::clone(&log),
+            Arc::clone(&dead),
+            Arc::clone(&dies_after_attrs),
+        );
+        net.register_rpc(
+            HostId(2),
+            "logged-nfs",
+            Arc::new(move |_from, request| {
+                let was_dead = dead2.load(Ordering::SeqCst);
+                if let Ok((_, Request::LookupReadMany(_, names))) = Request::decode(request) {
+                    if names[0].starts_with(";f;vv;") && dies2.load(Ordering::SeqCst) {
+                        dead2.store(true, Ordering::SeqCst);
+                    }
+                    let mut log = log2.lock().unwrap();
+                    if log.last() != Some(&names) {
+                        log.push(names);
+                    }
+                }
+                if was_dead {
+                    return Err(FsError::TimedOut);
+                }
+                Ok(server.handle_wire(request))
+            }),
+        );
+        LoggedExport {
+            net,
+            log,
+            dead,
+            dies_after_attrs,
+        }
+    }
+
+    fn access(&self) -> VnodeAccess {
+        let mount = NfsClientFs::mount_service(
+            self.net.clone(),
+            HostId(1),
+            HostId(2),
+            "logged-nfs",
+            NfsClientParams::uncached(),
+        )
+        .unwrap();
+        VnodeAccess::new(ReplicaId(2), mount.root())
+    }
+
+    /// Drains the log: each exchange so far as the `;f;<kind>;` prefix of
+    /// its first name plus how many names it carried.
+    fn take(&self) -> Vec<(String, usize)> {
+        std::mem::take(&mut *self.log.lock().unwrap())
+            .iter()
+            .map(|names| {
+                let prefix = names[0].split_inclusive(';').take(3).collect();
+                (prefix, names.len())
+            })
+            .collect()
+    }
+}
+
+fn exchange(prefix: &str) -> (String, usize) {
+    (prefix.to_owned(), 1)
+}
+
+/// The same divergence reconciled through the in-memory access (the
+/// reference) and over NFS: identical tallies, identical replica state, and
+/// over the wire one exchange per directory plus one per adopted file.
 #[test]
-fn batched_reconciliation_matches_per_file_at_half_the_rpcs() {
+fn nfs_reconciliation_matches_the_in_memory_reference() {
     const FILES: usize = 30;
     let clock = SimClock::new();
-    let net = Network::fully_connected(Arc::clone(&clock));
     let remote = mk_phys(&clock, 2);
     for i in 0..FILES {
         let f = remote
@@ -57,59 +138,139 @@ fn batched_reconciliation_matches_per_file_at_half_the_rpcs() {
             .write(f, 0, format!("contents of {i}").as_bytes())
             .unwrap();
     }
-    let server = NfsServer::new(PhysFs::new(Arc::clone(&remote)) as Arc<dyn FileSystem>);
-    server.serve(&net, HostId(2));
-    let mount = NfsClientFs::mount(
-        net.clone(),
-        HostId(1),
-        HostId(2),
-        NfsClientParams::uncached(),
-    )
-    .unwrap();
+    let export = LoggedExport::serve(&clock, &remote);
 
-    let local_per_file = mk_phys(&clock, 1);
-    let before = net.stats();
-    let stats_per_file = reconcile_subtree(
-        &local_per_file,
-        &VnodeAccess::per_file(ReplicaId(2), mount.root()),
-    )
-    .unwrap();
-    let per_file_rpcs = net.stats().since(before).rpcs;
+    let reference = mk_phys(&clock, 1);
+    let want = reconcile_subtree(&reference, &LocalAccess::new(Arc::clone(&remote))).unwrap();
+    assert_eq!(want.entries_inserted, FILES as u64);
+    assert_eq!(want.files_pulled, FILES as u64);
 
-    let local_batched = mk_phys(&clock, 1);
-    let before = net.stats();
-    let stats_batched = reconcile_subtree(
-        &local_batched,
-        &VnodeAccess::new(ReplicaId(2), mount.root()),
-    )
-    .unwrap();
-    let batched_rpcs = net.stats().since(before).rpcs;
-
-    // Same protocol outcome...
-    assert_eq!(stats_per_file.entries_inserted, FILES as u64);
-    assert_eq!(stats_batched.entries_inserted, FILES as u64);
-    assert_eq!(stats_per_file.files_pulled, stats_batched.files_pulled);
-    for i in 0..FILES {
-        let f = remote
-            .dir_entries(ROOT_FILE)
-            .unwrap()
-            .live()
-            .find(|e| e.name == format!("file-{i:02}"))
-            .unwrap()
-            .file;
-        let want = format!("contents of {i}");
-        assert_eq!(
-            &local_per_file.read(f, 0, 100).unwrap()[..],
-            want.as_bytes()
-        );
-        assert_eq!(&local_batched.read(f, 0, 100).unwrap()[..], want.as_bytes());
+    let local = mk_phys(&clock, 1);
+    let before = export.net.stats();
+    let got = reconcile_subtree(&local, &export.access()).unwrap();
+    assert_eq!(got, want, "same tallies as the reference");
+    for e in remote.dir_entries(ROOT_FILE).unwrap().live() {
+        assert_eq!(local.file_vv(e.file), reference.file_vv(e.file));
+        assert_eq!(local.read(e.file, 0, 100), reference.read(e.file, 0, 100));
+        assert_eq!(local.read(e.file, 0, 100), remote.read(e.file, 0, 100));
     }
-    // ...at a fraction of the wire cost.
-    assert!(
-        per_file_rpcs >= 2 * batched_rpcs,
-        "batching saved too little: {per_file_rpcs} per-file rpcs vs {batched_rpcs} batched"
+    assert_eq!(
+        local.dir_entries(ROOT_FILE).unwrap().entries,
+        reference.dir_entries(ROOT_FILE).unwrap().entries
     );
-    assert!(stats_batched.rpcs_saved > 0);
+
+    // The mount handshake, the directory, and each adopted file: nothing else.
+    assert_eq!(export.net.stats().since(before).rpcs, 1 + 1 + FILES as u64);
+    let mut asked = export.take();
+    assert_eq!(asked.remove(0), exchange(";f;dirx;"));
+    assert_eq!(asked, vec![exchange(";f;id;"); FILES]);
+    assert!(got.rpcs_saved > 0);
+}
+
+/// Exchanges per case over NFS, pinned: a directory is one `;f;dirx;`, an
+/// adopted file one whole-file read, a stored file of at most two chunks
+/// the map and then the whole file, and a 16-chunk file with k dirty runs
+/// the map and then k range reads.
+#[test]
+fn exchanges_per_case_over_nfs() {
+    let clock = SimClock::new();
+    let remote = mk_phys(&clock, 2);
+    let local = mk_phys(&clock, 1);
+    let export = LoggedExport::serve(&clock, &remote);
+    let access = export.access();
+
+    let small = remote
+        .create(ROOT_FILE, "small", VnodeType::Regular)
+        .unwrap();
+    remote.write(small, 0, &[1u8; 4096 + 100]).unwrap();
+    let big = remote.create(ROOT_FILE, "big", VnodeType::Regular).unwrap();
+    remote.write(big, 0, &[2u8; 16 * 4096]).unwrap();
+
+    // Adoption knows there is no local copy: no map exchange.
+    let stats = reconcile_dir(&local, &access, ROOT_FILE).unwrap();
+    assert_eq!(stats.files_pulled, 2);
+    assert_eq!(
+        export.take(),
+        [exchange(";f;dirx;"), exchange(";f;id;"), exchange(";f;id;")]
+    );
+
+    // A quiescent directory is its one exchange.
+    assert!(reconcile_dir(&local, &access, ROOT_FILE)
+        .unwrap()
+        .quiescent());
+    assert_eq!(export.take(), [exchange(";f;dirx;")]);
+
+    // Stored files, updated at the remote: the small one in full, the big
+    // one in k = 1, 2, 3 separate dirty runs.
+    for k in 1..=3usize {
+        remote.write(small, 0, &[k as u8; 10]).unwrap();
+        for run in 0..k {
+            remote
+                .write(big, (4 * run as u64 + 1) * 4096, &[10 + k as u8; 4097])
+                .unwrap();
+        }
+        let stats = reconcile_dir(&local, &access, ROOT_FILE).unwrap();
+        assert_eq!(stats.files_pulled, 2);
+        assert_eq!(
+            (stats.blocks_shipped, stats.blocks_reused),
+            (2 * k as u64, 16 - 2 * k as u64)
+        );
+        let mut want = vec![
+            exchange(";f;dirx;"),
+            exchange(";f;map;"),
+            exchange(";f;id;"),
+            exchange(";f;map;"),
+        ];
+        want.extend(vec![exchange(";f;blk;"); k]);
+        assert_eq!(export.take(), want, "k = {k}");
+        assert_eq!(
+            local.read(big, 0, 16 * 4096),
+            remote.read(big, 0, 16 * 4096)
+        );
+        assert_eq!(local.read(small, 0, 8192), remote.read(small, 0, 8192));
+    }
+
+    // n questions of one kind are still one exchange.
+    let attrs = (&access as &dyn ReplicaAccess)
+        .attrs(&[small, big])
+        .unwrap();
+    assert_eq!(attrs.len(), 2);
+    assert_eq!(export.take(), [(";f;vv;".to_owned(), 2)]);
+}
+
+/// A link that dies after the attribute exchange is hit once by the pull,
+/// not a second time by a whole-file attempt, and the note waits for it.
+#[test]
+fn a_link_dying_mid_pull_costs_one_failed_exchange_and_requeues_the_note() {
+    let clock = SimClock::new();
+    let remote = mk_phys(&clock, 2);
+    let local = mk_phys(&clock, 1);
+    let export = LoggedExport::serve(&clock, &remote);
+    let f = remote.create(ROOT_FILE, "f", VnodeType::Regular).unwrap();
+    remote.write(f, 0, b"v1").unwrap();
+    reconcile_subtree(&local, &export.access()).unwrap();
+    remote.write(f, 0, b"v2").unwrap();
+    local.note_new_version(f, ReplicaId(2), VersionVector::new());
+    export.take();
+
+    let connect = |_| Ok(Box::new(export.access()) as Box<dyn ReplicaAccess>);
+    export.dies_after_attrs.store(true, Ordering::SeqCst);
+    let stats = run_propagation(&local, PropagationPolicy::Immediate, connect).unwrap();
+    assert_eq!(
+        export.take(),
+        [exchange(";f;vv;"), exchange(";f;map;")],
+        "the dead link was not tried again for the whole file"
+    );
+    assert_eq!(stats.files_pulled, 0);
+    assert_eq!((stats.requeued, stats.requeued_timeout), (1, 1));
+    assert_eq!(local.pending_notifications(), 1, "note survives for retry");
+
+    // The link returns; the requeued note is drained.
+    export.dies_after_attrs.store(false, Ordering::SeqCst);
+    export.dead.store(false, Ordering::SeqCst);
+    let stats = run_propagation(&local, PropagationPolicy::Immediate, connect).unwrap();
+    assert_eq!(stats.files_pulled, 1);
+    assert_eq!(&local.read(f, 0, 10).unwrap()[..], b"v2");
 }
 
 /// A transient server-side timeout on the bulk RPC is absorbed by the
