@@ -19,16 +19,26 @@
 //!   reusing every clean chunk it already stores. `blocks_shipped` /
 //!   `blocks_reused` counters make the claim exact, for the propagation
 //!   daemon and the reconciliation protocol both.
+//! * **One pull, at the puller** — sixteen scattered 4 KiB edits of a
+//!   16 MiB file pulled over NFS with the puller's buffer cache dropped:
+//!   the disk blocks the puller reads of its own copy against the ideal
+//!   (its chunk map, and nothing of the 4080 clean chunks it carries by
+//!   reference), and the exchanges against the ideal of two (the map, then
+//!   every dirty range at once).
 //!
 //! Disk blocks and chunk counters are counted in the simulated stack, so
 //! every metric is deterministic.
 
 use std::sync::Arc;
 
+use ficus_core::access::{pull_file, VnodeAccess};
 use ficus_core::ids::{ReplicaId, VolumeName, ROOT_FILE};
+use ficus_core::phys::vnode::PhysFs;
 use ficus_core::phys::{FicusPhysical, PhysParams};
 use ficus_core::sim::{FicusWorld, WorldParams};
-use ficus_net::HostId;
+use ficus_net::{HostId, Network, SimClock};
+use ficus_nfs::client::{NfsClientFs, NfsClientParams};
+use ficus_nfs::server::NfsServer;
 use ficus_ufs::{Disk, Geometry, Ufs, UfsParams};
 use ficus_vnode::{Credentials, FileSystem, LogicalClock, TimeSource, VnodeType};
 
@@ -53,24 +63,33 @@ pub struct DeltaCommitCost {
     pub wholefile_writes: u64,
 }
 
-/// Disk blocks one `apply_remote_version` writes for a `k`-byte edit of an
-/// `n`-byte file, with delta commit on or off.
-fn commit_writes(file_size: usize, update_size: usize, delta: bool) -> u64 {
+/// A volume replica on a disk of its own.
+fn replica(me: u32, params: PhysParams) -> (Arc<Ufs>, Arc<FicusPhysical>) {
     let ufs = Arc::new(Ufs::format(Disk::new(Geometry::medium()), UfsParams::default()).unwrap());
     let clock: Arc<dyn TimeSource> = Arc::new(LogicalClock::new());
     let phys = FicusPhysical::create_volume(
         Arc::clone(&ufs) as Arc<dyn FileSystem>,
         "vol",
         VolumeName::new(1, 1),
-        ReplicaId(1),
+        ReplicaId(me),
         &[1, 2],
         clock,
+        params,
+    )
+    .unwrap();
+    (ufs, phys)
+}
+
+/// Disk blocks one `apply_remote_version` writes for a `k`-byte edit of an
+/// `n`-byte file, with delta commit on or off.
+fn commit_writes(file_size: usize, update_size: usize, delta: bool) -> u64 {
+    let (ufs, phys) = replica(
+        1,
         PhysParams {
             delta_commit: delta,
             ..PhysParams::default()
         },
-    )
-    .unwrap();
+    );
     let file = phys.create(ROOT_FILE, "f", VnodeType::Regular).unwrap();
     let mut contents = vec![1u8; file_size];
     phys.write(file, 0, &contents).unwrap();
@@ -175,6 +194,79 @@ pub fn measure_propagation() -> DeltaPropOutcome {
     out
 }
 
+/// Size of the file in the one-pull measurement.
+pub const PULL_FILE_SIZE: usize = 16 * 1024 * 1024;
+/// Dirty runs (one chunk each) in the one-pull measurement.
+pub const PULL_DIRTY_RUNS: usize = 16;
+
+/// What one delta pull cost the pulling replica.
+#[derive(Debug, Clone, Copy)]
+pub struct PullCost {
+    /// Chunks in the file.
+    pub chunks_total: u64,
+    /// Chunks shipped over the wire.
+    pub blocks_shipped: u64,
+    /// Chunks carried by reference.
+    pub blocks_reused: u64,
+    /// Data bytes fetched.
+    pub bytes_fetched: u64,
+    /// Disk blocks the puller read of its own replica, from a cold cache.
+    pub puller_disk_reads: u64,
+    /// Blocks holding the puller's chunk map — the ideal for the above.
+    pub map_blocks: u64,
+    /// RPC round trips the pull took (ideal: two).
+    pub exchanges: u64,
+}
+
+/// Replica 2 has adopted a [`PULL_FILE_SIZE`] file from replica 1, which
+/// then overwrites [`PULL_DIRTY_RUNS`] chunks spread evenly over it.
+/// Replica 2 pulls the new version over NFS with its buffer cache dropped.
+#[must_use]
+pub fn measure_pull() -> PullCost {
+    let (_, origin) = replica(1, PhysParams::default());
+    let (ufs, puller) = replica(2, PhysParams::default());
+    let file = origin.create(ROOT_FILE, "big", VnodeType::Regular).unwrap();
+    let contents = vec![7u8; PULL_FILE_SIZE];
+    origin.write(file, 0, &contents).unwrap();
+    let vv = origin.file_vv(file).unwrap();
+    puller
+        .adopt_file(ROOT_FILE, file, VnodeType::Regular, &vv, &contents)
+        .unwrap();
+    for run in 0..PULL_DIRTY_RUNS {
+        let at = run * (PULL_FILE_SIZE / PULL_DIRTY_RUNS);
+        origin.write(file, at as u64, &[9u8; 4096]).unwrap();
+    }
+
+    let net = Network::fully_connected(SimClock::new());
+    NfsServer::new(PhysFs::new(origin) as Arc<dyn FileSystem>).serve(&net, HostId(1));
+    let mount = NfsClientFs::mount(
+        net.clone(),
+        HostId(2),
+        HostId(1),
+        NfsClientParams::uncached(),
+    )
+    .unwrap();
+    let remote = VnodeAccess::new(ReplicaId(1), mount.root());
+    ufs.sync().unwrap();
+    ufs.drop_caches().unwrap();
+    let (reads, rpcs) = (ufs.disk().stats().reads, net.stats().rpcs);
+    let pulled = pull_file(&remote, Some(&puller), file).unwrap();
+    PullCost {
+        puller_disk_reads: ufs.disk().stats().reads - reads,
+        exchanges: net.stats().rpcs - rpcs,
+        chunks_total: pulled.blocks_shipped + pulled.blocks_reused,
+        blocks_shipped: pulled.blocks_shipped,
+        blocks_reused: pulled.blocks_reused,
+        bytes_fetched: pulled.bytes_fetched,
+        map_blocks: puller
+            .chunk_map(file)
+            .unwrap()
+            .encode()
+            .len()
+            .div_ceil(4096) as u64,
+    }
+}
+
 /// Runs the delta-commit half of E13 and produces its table and metrics.
 /// Every metric is a counted event in the simulated stack, so all are
 /// deterministic.
@@ -251,9 +343,20 @@ pub fn run() -> Report {
 #[must_use]
 pub fn run_transfer() -> Report {
     let p = measure_propagation();
+    let c = measure_pull();
     let mut t2 = Table::new(
         "E13b: delta propagation of one small edit, two-host world",
-        &["path", "chunks total", "shipped", "reused", "bytes fetched"],
+        &[
+            "path",
+            "chunks total",
+            "shipped",
+            "reused",
+            "bytes fetched",
+            "puller blk reads",
+            "x ideal",
+            "exchanges",
+            "x ideal",
+        ],
     );
     let mut m = Metrics::new("e13", &t2.title);
     t2.row(vec![
@@ -262,6 +365,10 @@ pub fn run_transfer() -> Report {
         p.prop_blocks_shipped.to_string(),
         p.prop_blocks_reused.to_string(),
         p.prop_bytes_fetched.to_string(),
+        "-".into(),
+        "-".into(),
+        "-".into(),
+        "-".into(),
     ]);
     t2.row(vec![
         "reconciliation".into(),
@@ -269,6 +376,21 @@ pub fn run_transfer() -> Report {
         p.recon_blocks_shipped.to_string(),
         p.recon_blocks_reused.to_string(),
         "-".into(),
+        "-".into(),
+        "-".into(),
+        "-".into(),
+        "-".into(),
+    ]);
+    t2.row(vec![
+        format!("one pull, {PULL_DIRTY_RUNS} runs"),
+        c.chunks_total.to_string(),
+        c.blocks_shipped.to_string(),
+        c.blocks_reused.to_string(),
+        c.bytes_fetched.to_string(),
+        c.puller_disk_reads.to_string(),
+        format!("{:.2}x", c.puller_disk_reads as f64 / c.map_blocks as f64),
+        c.exchanges.to_string(),
+        format!("{:.2}x", c.exchanges as f64 / 2.0),
     ]);
     m.det("prop.chunks_total", "chunks", p.chunks_total as f64);
     m.det(
@@ -288,7 +410,18 @@ pub fn run_transfer() -> Report {
         "chunks",
         p.recon_blocks_reused as f64,
     );
+    m.det(
+        "prop.puller_disk_reads",
+        "blocks",
+        c.puller_disk_reads as f64,
+    );
+    m.det("prop.exchanges", "rpcs", c.exchanges as f64);
     t2.note("the peers exchange per-chunk digests over the ;f;map; control name and ship only dirty chunks via ;f;blk;");
+    t2.note(&format!(
+        "one pull = {PULL_DIRTY_RUNS} scattered 4 KiB edits of a {} file over NFS, puller cache dropped; ideal reads = the {} blocks of its chunk map (clean chunks are carried unread), ideal exchanges = 2 (the map, then every dirty range in one batch)",
+        human(PULL_FILE_SIZE),
+        c.map_blocks
+    ));
     Report {
         table: t2,
         metrics: m,
@@ -359,6 +492,23 @@ mod tests {
         assert_eq!(p.prop_bytes_fetched, PROP_EDIT_SIZE as u64);
         assert_eq!(p.recon_blocks_shipped, dirty);
         assert_eq!(p.recon_blocks_reused, p.chunks_total - dirty);
+    }
+
+    #[test]
+    fn a_pull_reads_its_map_not_its_file_and_takes_two_exchanges() {
+        let c = measure_pull();
+        assert_eq!(c.chunks_total, (PULL_FILE_SIZE / 4096) as u64);
+        assert_eq!(c.blocks_shipped, PULL_DIRTY_RUNS as u64);
+        assert_eq!(c.blocks_reused, c.chunks_total - c.blocks_shipped);
+        assert_eq!(c.exchanges, 2, "the map, then every dirty run at once");
+        // The map's blocks plus the inodes, directory and indirect blocks
+        // on the way to them — nothing of the 4080 clean chunks.
+        assert!(
+            c.puller_disk_reads <= c.map_blocks + 8,
+            "{} blocks read against a {}-block map",
+            c.puller_disk_reads,
+            c.map_blocks
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use ficus_vnode::{Credentials, FileSystem, FsError, FsResult, VnodeRef};
 
 use crate::attrs::ReplAttrs;
 use crate::changelog::LogSuffix;
-use crate::chunks::{self, ChunkMap};
+use crate::chunks::{self, ChunkEntry, ChunkMap};
 use crate::dirfile::FicusDir;
 use crate::ids::{FicusFileId, ReplicaId};
 use crate::phys::vnode::PhysFs;
@@ -160,9 +160,16 @@ impl dyn ReplicaAccess + '_ {
         ChunkMap::decode(&self.read_one(format!(";f;map;{}", file.hex()))?)
     }
 
-    /// Concatenated bytes of chunks `[start, start + count)` of one file.
-    pub fn chunks(&self, file: FicusFileId, start: u32, count: u32) -> FsResult<Vec<u8>> {
-        self.read_one(format!(";f;blk;{};{start:08x};{count:08x}", file.hex()))
+    /// Concatenated bytes of each chunk range `(start, count)` of one file,
+    /// one result per range: every range of a pull rides one exchange.
+    pub fn chunk_ranges(
+        &self,
+        file: FicusFileId,
+        ranges: &[(u32, u32)],
+    ) -> FsResult<Vec<FsResult<Vec<u8>>>> {
+        let name =
+            |(start, count): &(u32, u32)| format!(";f;blk;{};{start:08x};{count:08x}", file.hex());
+        self.read_ctl(&ranges.iter().map(name).collect::<Vec<_>>())
     }
 
     /// Full contents of one regular file.
@@ -177,31 +184,66 @@ impl dyn ReplicaAccess + '_ {
 /// per pull; E7b's `rpcs / ideal` records it).
 pub const SMALL_FILE_CHUNKS: usize = 2;
 
-/// What one file pull shipped and reused.
+/// One file pull: a patch against the local copy, and what it shipped and
+/// reused.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FilePull {
-    /// The assembled new contents.
+    /// The remote's chunk map — `None` when the file travelled whole:
+    /// `data` is then its entire contents and `dirty` is empty.
+    pub map: Option<ChunkMap>,
+    /// Sorted indices of the chunks the local copy could not supply.
+    pub dirty: Vec<u32>,
+    /// The bytes of the `dirty` chunks back to back, each piece checked
+    /// against the digest `map` promised — or the whole file.
     pub data: Vec<u8>,
     /// Chunks pulled over the wire (zero for a whole-file pull).
     pub blocks_shipped: u64,
-    /// Chunks reused from the local replica (digest and length match).
+    /// Chunks carried by reference from the local replica (digest and
+    /// length match).
     pub blocks_reused: u64,
     /// Bytes actually transferred (delta chunks, or the whole file).
     pub bytes_fetched: u64,
 }
 
+impl FilePull {
+    /// The full new contents: the pulled chunks laid over `base`, the
+    /// contents of the local copy the pull was computed against. Only a
+    /// caller that must hold the whole file (to compare or stash a
+    /// conflicting version) pays for this.
+    pub fn into_contents(self, base: &[u8]) -> FsResult<Vec<u8>> {
+        let Some(map) = &self.map else {
+            return Ok(self.data);
+        };
+        let mut out = base.to_vec();
+        out.resize(map.size as usize, 0);
+        let (header, per) = (map.header(), map.chunk_size as usize);
+        for (rank, &idx) in self.dirty.iter().enumerate() {
+            let len = header.chunk_len(idx) as usize;
+            let src = self.data.get(rank * per..rank * per + len);
+            let dst = out.get_mut(idx as usize * per..idx as usize * per + len);
+            let (dst, src) = dst.zip(src).ok_or(FsError::Stale)?;
+            dst.copy_from_slice(src);
+        }
+        Ok(out)
+    }
+}
+
 /// Pulls a file's new contents from `remote` — the one route propagation,
 /// reconciliation and adoption all take (DESIGN.md §4.13).
 ///
-/// With a local copy to build on, the local chunk map and the remote's
-/// (via `;f;map;`) are compared by digest and only dirty chunks travel,
-/// coalesced into contiguous `;f;blk;` range reads. Whole file is the same
-/// plan with every chunk dirty, read in one `;f;id;` exchange, and it is
-/// what every *content* shortcoming selects: no local copy (`local` is
-/// `None` — adoption — or stores no map for the file), a file of at most
-/// [`SMALL_FILE_CHUNKS`] chunks, mismatched chunk sizes, or any piece —
-/// fetched or reused — whose digest disagrees with the map that promised it
-/// (a torn local chunk, or a remote whose map and data raced an update).
+/// With a local copy to build on, the pull is a patch in two exchanges:
+/// the remote's map (`;f;map;`) is compared by digest with the local one,
+/// and every run of dirty chunks travels as a `;f;blk;` range in one batch.
+/// Clean chunks are carried by reference, unread — unless the local file
+/// has left this mount's verified set, in which case they are checked
+/// against their digests and one that fails is one more dirty chunk
+/// ([`FicusPhysical::dirty_chunks`]). Whole file is the same plan with
+/// every chunk dirty, read in one `;f;id;` exchange, and it is what every
+/// *content* shortcoming selects: no local copy (`local` is `None` —
+/// adoption — or stores no map for the file), a file of at most
+/// [`SMALL_FILE_CHUNKS`] chunks, mismatched chunk sizes, or a fetched piece
+/// whose digest disagrees with the map that promised it (a remote whose
+/// map and data raced an update).
 /// A *transport* failure (`Unreachable`, `TimedOut`) ends the pull at once:
 /// the link that just failed is not tried a second time.
 pub fn pull_file(
@@ -209,20 +251,19 @@ pub fn pull_file(
     local: Option<&FicusPhysical>,
     file: FicusFileId,
 ) -> FsResult<FilePull> {
-    if let Some(phys) = local {
-        // Any other error is a content shortcoming: every chunk travels.
-        if let done @ (Ok(_) | Err(FsError::Unreachable | FsError::TimedOut)) =
-            pull_dirty_chunks(remote, phys, file)
-        {
-            return done;
+    // Any error but a transport failure is a content shortcoming: every
+    // chunk travels.
+    match local.map(|phys| pull_dirty_chunks(remote, phys, file)) {
+        Some(done @ (Ok(_) | Err(FsError::Unreachable | FsError::TimedOut))) => done,
+        _ => {
+            let data = remote.data(file)?;
+            Ok(FilePull {
+                bytes_fetched: data.len() as u64,
+                data,
+                ..FilePull::default()
+            })
         }
     }
-    let data = remote.data(file)?;
-    Ok(FilePull {
-        bytes_fetched: data.len() as u64,
-        data,
-        ..FilePull::default()
-    })
 }
 
 /// The delta plan. Any error but a transport failure means the pieces on
@@ -234,58 +275,35 @@ fn pull_dirty_chunks(
 ) -> FsResult<FilePull> {
     let local = phys.chunk_map(file)?;
     let map = remote.chunk_map(file)?;
-    // Chunk `i` of the new contents lies at `i * chunk_size` (the decoded
-    // map guarantees every chunk but the last is full), so each contiguous
-    // run — dirty from the wire, clean from the local replica — is one
-    // read placed at its offset.
-    let csize = u64::from(map.chunk_size);
-    if map.chunks.len() <= SMALL_FILE_CHUNKS
-        || map.chunk_size != local.chunk_size
-        || csize == 0
-        || map.size.div_ceil(csize) != map.chunks.len() as u64
-    {
+    if map.chunks.len() <= SMALL_FILE_CHUNKS || map.chunk_size != local.chunk_size {
         return Err(FsError::Stale);
     }
-    let dirty = chunks::dirty_indices(&local, &map);
-    let clean: Vec<u32> = (0..map.chunks.len() as u32)
-        .filter(|i| dirty.binary_search(i).is_err())
-        .collect();
-    let span = |start: u32, count: u32| {
-        let lo = u64::from(start) * csize;
-        let hi = ((u64::from(start) + u64::from(count)) * csize).min(map.size);
-        lo as usize..hi as usize
-    };
-    let mut data = vec![0u8; map.size as usize];
-    let mut place = |start: u32, count: u32, buf: &[u8]| {
-        let dst = data.get_mut(span(start, count));
-        let dst = dst.filter(|d| d.len() == buf.len()).ok_or(FsError::Stale)?;
-        dst.copy_from_slice(buf);
-        Ok(())
-    };
-    let mut bytes_fetched = 0u64;
-    for (start, count) in chunks::contiguous_ranges(&dirty) {
-        let buf = remote.chunks(file, start, count)?;
-        place(start, count, &buf)?;
-        bytes_fetched += buf.len() as u64;
-    }
-    for (start, count) in chunks::contiguous_ranges(&clean) {
-        let range = span(start, count);
-        let buf = phys.read(file, range.start as u64, range.len())?;
-        place(start, count, &buf)?;
-    }
-    // Every piece — fetched or reused — must be what the remote map
-    // promised: this is what catches a local chunk torn by a non-atomic
-    // in-place write.
-    for (entry, piece) in map.chunks.iter().zip(data.chunks(csize as usize)) {
-        if piece.len() != entry.len as usize || chunks::digest(piece) != entry.digest {
-            return Err(FsError::Stale);
+    let dirty = phys.dirty_chunks(file, &local, &map);
+    let ranges = chunks::contiguous_ranges(&dirty);
+    let mut data = Vec::new();
+    if !ranges.is_empty() {
+        let mut pieces = remote.chunk_ranges(file, &ranges)?.into_iter();
+        for &(start, count) in &ranges {
+            let piece = pieces.next().ok_or(FsError::Io)??;
+            // Every fetched chunk must be what the remote map promised.
+            let promised = map.chunks.iter().skip(start as usize);
+            let got = piece.chunks(map.chunk_size as usize);
+            let sound = |(e, c): (&ChunkEntry, &[u8])| {
+                c.len() == e.len as usize && chunks::digest(c) == e.digest
+            };
+            if got.len() != count as usize || !promised.zip(got).all(sound) {
+                return Err(FsError::Stale);
+            }
+            data.extend_from_slice(&piece);
         }
     }
     Ok(FilePull {
-        data,
         blocks_shipped: dirty.len() as u64,
         blocks_reused: (map.chunks.len() - dirty.len()) as u64,
-        bytes_fetched,
+        bytes_fetched: data.len() as u64,
+        map: Some(map),
+        dirty,
+        data,
     })
 }
 
@@ -358,6 +376,7 @@ impl ReplicaAccess for LocalAccess {
 pub(crate) mod tests {
     use super::*;
     use ficus_ufs::{Disk, Geometry, Ufs, UfsParams};
+    use ficus_vnode::fault::{FaultControl, FaultLayer, FaultPlan, Schedule};
     use ficus_vnode::measure::{MeasureLayer, Op, OpCounters};
     use ficus_vnode::{FileSystem, LogicalClock, TimeSource, VnodeType};
 
@@ -532,13 +551,17 @@ pub(crate) mod tests {
         assert_eq!(local.chunk_map(f).unwrap(), want_map);
         assert_eq!(via_vnode.chunk_map(f).unwrap(), want_map);
 
-        let want = p.read_chunk_range(f, 1, 2).unwrap();
-        assert_eq!(want.len(), 2 * 4096);
-        assert_eq!(local.chunks(f, 1, 2).unwrap(), want);
-        assert_eq!(via_vnode.chunks(f, 1, 2).unwrap(), want);
-        // Out-of-range requests fail identically everywhere.
-        assert_eq!(local.chunks(f, 3, 2).unwrap_err(), FsError::Invalid);
-        assert_eq!(via_vnode.chunks(f, 3, 2).unwrap_err(), FsError::Invalid);
+        // Ranges answer per item: an out-of-range one fails in its slot,
+        // identically everywhere.
+        let want = vec![
+            Ok(p.read_chunk_range(f, 1, 2).unwrap()),
+            Err(FsError::Invalid),
+            Ok(p.read_chunk_range(f, 3, 1).unwrap()),
+        ];
+        assert_eq!(want[0].as_ref().unwrap().len(), 2 * 4096);
+        let ranges = [(1, 2), (3, 2), (3, 1)];
+        assert_eq!(local.chunk_ranges(f, &ranges).unwrap(), want);
+        assert_eq!(via_vnode.chunk_ranges(f, &ranges).unwrap(), want);
     }
 
     #[test]
@@ -547,6 +570,7 @@ pub(crate) mod tests {
         let p2 = phys_replica(ReplicaId(2));
         let acc = Instrumented::new(LocalAccess::new(Arc::clone(&p1)));
         let whole = |pulled: &FilePull, body: &[u8]| {
+            assert_eq!((&pulled.map, &pulled.dirty[..]), (&None, &[][..]));
             assert_eq!(pulled.data, body);
             assert_eq!((pulled.blocks_shipped, pulled.blocks_reused), (0, 0));
             assert_eq!(pulled.bytes_fetched, body.len() as u64);
@@ -605,6 +629,34 @@ pub(crate) mod tests {
         }
     }
 
+    #[test]
+    fn a_delta_pull_is_two_exchanges_however_many_runs_are_dirty() {
+        let mut pair = DeltaPair::new();
+        for (at, k) in [(5, 2), (9, 3), (14, 4)] {
+            pair.edit_origin(at * 4096, &[at as u8; 4096]);
+            let acc = Instrumented::new(LocalAccess::new(Arc::clone(&pair.origin)));
+            let pulled = pull_file(&acc, Some(&pair.puller), pair.file).unwrap();
+            assert_eq!((pulled.blocks_shipped, pulled.blocks_reused), (k, 16 - k));
+            let asked = acc.take();
+            assert_eq!(asked.len(), 2, "the map, then every dirty run at once");
+            assert!(asked[0][0].starts_with(";f;map;"));
+            assert_eq!(asked[1].len(), k as usize, "one `;f;blk;` name per run");
+            assert!(asked[1].iter().all(|name| name.starts_with(";f;blk;")));
+        }
+        // Nothing dirty (the same bytes under a newer vector): the map alone.
+        let mut twin = DeltaPair::new();
+        twin.edit_origin(2 * 4096 + 5, &pattern_at(2 * 4096 + 5, 100));
+        let acc = Instrumented::new(LocalAccess::new(Arc::clone(&twin.origin)));
+        let pulled = pull_file(&acc, Some(&twin.puller), twin.file).unwrap();
+        assert_eq!((pulled.blocks_shipped, pulled.blocks_reused), (0, 16));
+        assert_eq!(acc.take_prefixes(), [";f;map;"]);
+    }
+
+    /// The bytes `DeltaPair`'s file starts with at `offset`.
+    fn pattern_at(offset: u32, len: u32) -> Vec<u8> {
+        (offset..offset + len).map(|i| (i % 241) as u8).collect()
+    }
+
     /// Replica 1 holds a 16-chunk file replica 2 has adopted, then edits
     /// one chunk of it.
     struct DeltaPair {
@@ -617,13 +669,16 @@ pub(crate) mod tests {
         extent: VnodeRef,
         /// Vnode calls the puller's physical layer makes on its UFS.
         puller_calls: Arc<OpCounters>,
+        /// Fails chosen calls of the puller's physical layer on its UFS.
+        puller_faults: Arc<FaultControl>,
     }
 
     impl DeltaPair {
         fn new() -> Self {
             let origin = phys_replica(ReplicaId(1));
             let ufs = Ufs::format(Disk::new(Geometry::medium()), UfsParams::default()).unwrap();
-            let (storage, puller_calls) = MeasureLayer::new(Arc::new(ufs));
+            let (faulty, puller_faults) = FaultLayer::new(Arc::new(ufs), FaultPlan::none());
+            let (storage, puller_calls) = MeasureLayer::new(faulty);
             let puller = FicusPhysical::create_volume(
                 storage,
                 "vol",
@@ -635,25 +690,46 @@ pub(crate) mod tests {
             )
             .unwrap();
             let file = origin.create(ROOT_FILE, "big", VnodeType::Regular).unwrap();
-            let mut data: Vec<u8> = (0..16 * 4096u32).map(|i| (i % 241) as u8).collect();
+            let data = pattern_at(0, 16 * 4096);
             origin.write(file, 0, &data).unwrap();
             let vv = origin.file_vv(file).unwrap();
             puller
                 .adopt_file(ROOT_FILE, file, VnodeType::Regular, &vv, &data)
                 .unwrap();
-            origin.write(file, 2 * 4096 + 5, &[9u8; 100]).unwrap();
-            data[2 * 4096 + 5..2 * 4096 + 105].fill(9);
             let cred = Credentials::root();
             let base = puller.storage().root().lookup(&cred, "vol").unwrap();
             let extent = base.lookup(&cred, &format!("{}.x", file.hex())).unwrap();
-            DeltaPair {
+            let mut pair = DeltaPair {
                 origin,
                 puller,
                 file,
                 data,
                 extent,
                 puller_calls,
-            }
+                puller_faults,
+            };
+            pair.edit_origin(2 * 4096 + 5, &[9u8; 100]);
+            pair
+        }
+
+        fn edit_origin(&mut self, offset: usize, bytes: &[u8]) {
+            self.origin.write(self.file, offset as u64, bytes).unwrap();
+            self.data[offset..offset + bytes.len()].copy_from_slice(bytes);
+        }
+
+        /// The puller crashes and comes back: a fresh mount over the same
+        /// storage, which has verified nothing yet.
+        fn remount_puller(&mut self) {
+            self.puller = FicusPhysical::mount(
+                Arc::clone(self.puller.storage()),
+                "vol",
+                VolumeName::new(1, 1),
+                ReplicaId(2),
+                &[1, 2],
+                Arc::new(LogicalClock::new()) as Arc<dyn TimeSource>,
+                PhysParams::default(),
+            )
+            .unwrap();
         }
 
         fn pull(&self) -> FilePull {
@@ -665,44 +741,113 @@ pub(crate) mod tests {
             )
             .unwrap()
         }
+
+        /// Commits a delta pull at the puller and checks the puller then
+        /// reads exactly what the origin holds.
+        fn apply(&self, pulled: &FilePull) {
+            let vv = self.origin.file_vv(self.file).unwrap();
+            let patch = crate::chunks::Patch {
+                map: pulled.map.clone().expect("a delta pull"),
+                dirty: pulled.dirty.clone(),
+                data: &pulled.data,
+            };
+            self.puller.apply_patch(self.file, &vv, patch).unwrap();
+            let got = self.puller.read(self.file, 0, self.data.len() + 1).unwrap();
+            assert_eq!(&got[..], &self.data[..]);
+            assert_eq!(self.puller.file_vv(self.file).unwrap(), vv);
+        }
+
+        /// Fails the `nth` call of `op` the puller makes on its storage
+        /// from now on (1-based), and only that one.
+        fn fail_nth(&self, op: Op, nth: u64) {
+            self.puller_faults.set_plan(FaultPlan {
+                ops: vec![op],
+                error: FsError::Io,
+                schedule: Schedule::EveryNth(self.puller_faults.matched() + nth),
+            });
+        }
     }
 
     #[test]
-    fn delta_fetch_ships_changed_chunks_and_reads_clean_runs() {
+    fn delta_pull_ships_changed_chunks_and_leaves_clean_ones_unread() {
         let pair = DeltaPair::new();
+        let before = pair.puller.read(pair.file, 0, pair.data.len()).unwrap();
         pair.puller_calls.reset();
         let pulled = pair.pull();
-        assert_eq!(pulled.data, pair.data);
+        assert_eq!(pulled.dirty, [2]);
+        assert_eq!(pulled.data, pair.data[2 * 4096..3 * 4096]);
         assert_eq!((pulled.blocks_shipped, pulled.blocks_reused), (1, 15));
         assert_eq!(pulled.bytes_fetched, 4096);
-        // Fifteen clean chunks in two runs (0..2 and 3..16): one UFS read
-        // for the local map, then header + entries + one slot run per clean
-        // run — not per clean chunk.
-        assert_eq!(pair.puller_calls.get(Op::Read), 1 + 2 * 3);
+        // The puller adopted the file on this mount, so its fifteen clean
+        // chunks are known good: the only local read is the map.
+        assert_eq!(pair.puller_calls.get(Op::Read), 1);
+        pair.apply(&pulled);
+        assert_eq!(pulled.into_contents(&before).unwrap(), pair.data);
     }
 
     #[test]
-    fn delta_fetch_falls_back_when_a_reused_chunk_is_torn() {
+    fn a_chunk_torn_by_a_crash_is_one_more_dirty_chunk_and_heals() {
         let cred = Credentials::root();
         // A local chunk whose bytes no longer match its digest (a torn
-        // in-place write): same length, so only the per-chunk verification
-        // of *reused* pieces can notice.
-        let pair = DeltaPair::new();
+        // in-place write; a tear is a crash, so the puller remounts): same
+        // length, so only digesting the would-be-clean chunks can notice.
+        let mut pair = DeltaPair::new();
         pair.extent.write(&cred, 9 * 4096 + 17, b"torn").unwrap();
+        pair.remount_puller();
+        pair.puller_calls.reset();
         let pulled = pair.pull();
-        assert_eq!(pulled.data, pair.data, "never the torn bytes");
-        assert_eq!((pulled.blocks_shipped, pulled.blocks_reused), (0, 0));
-        assert_eq!(pulled.bytes_fetched, pair.data.len() as u64, "went whole");
+        assert_eq!(pulled.dirty, [2, 9], "the edit and the tear");
+        assert_eq!((pulled.blocks_shipped, pulled.blocks_reused), (2, 14));
+        assert_eq!(pulled.bytes_fetched, 2 * 4096, "not the 64 KiB file");
+        // The map, then each of the fifteen would-be-clean chunks.
+        assert_eq!(pair.puller_calls.get(Op::Read), 1 + 15);
+        pair.apply(&pulled);
+        // Healed and verified: the next pull reads nothing but the map.
+        pair.edit_origin(4 * 4096, b"again");
+        pair.puller_calls.reset();
+        assert_eq!(pair.pull().dirty, [4]);
+        assert_eq!(pair.puller_calls.get(Op::Read), 1);
 
-        // A local extent that lost its tail: the clean run's read fails
-        // outright, and the pull falls back the same way.
-        let pair = DeltaPair::new();
+        // A local extent that lost its tail: the chunks past the cut cannot
+        // be read at all, and travel like any other dirty chunk.
+        let mut pair = DeltaPair::new();
         pair.extent
             .setattr(&cred, &ficus_vnode::SetAttr::size(12 * 4096))
             .unwrap();
+        pair.remount_puller();
         let pulled = pair.pull();
-        assert_eq!(pulled.data, pair.data, "never zero-filled bytes");
-        assert_eq!(pulled.bytes_fetched, pair.data.len() as u64, "went whole");
+        assert_eq!(pulled.dirty, [2, 12, 13, 14, 15]);
+        assert_eq!(pulled.bytes_fetched, 5 * 4096);
+        pair.apply(&pulled);
+    }
+
+    #[test]
+    fn a_failed_in_place_update_sends_the_next_pull_back_to_verify() {
+        // A write whose slot write lands and whose map-entry write fails:
+        // slot 9 holds bytes its entry does not digest. No crash, no
+        // remount — the failure itself drops the file from the verified set.
+        let pair = DeltaPair::new();
+        pair.fail_nth(Op::Write, 2);
+        let lost = pair.puller.write(pair.file, 9 * 4096, &[7u8; 100]);
+        assert_eq!(lost.unwrap_err(), FsError::Io);
+        pair.puller_faults.set_plan(FaultPlan::none());
+        let pulled = pair.pull();
+        assert_eq!(pulled.dirty, [2, 9], "the mismatched chunk ships");
+        pair.apply(&pulled);
+
+        // A truncate that fails after committing its shorter map (the
+        // extent trim is its second setattr) tore nothing, but nothing
+        // vouches for that: the next pull digests the chunks it keeps.
+        let pair = DeltaPair::new();
+        pair.fail_nth(Op::Setattr, 2);
+        let lost = pair.puller.truncate(pair.file, 12 * 4096);
+        assert_eq!(lost.unwrap_err(), FsError::Io);
+        pair.puller_faults.set_plan(FaultPlan::none());
+        pair.puller_calls.reset();
+        let pulled = pair.pull();
+        assert_eq!(pulled.dirty, [2, 12, 13, 14, 15]);
+        assert_eq!(pair.puller_calls.get(Op::Read), 1 + 11, "clean chunks read");
+        pair.apply(&pulled);
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! The same map doubles as the delta-propagation manifest: peers fetch it
 //! over the overloaded-lookup control plane (`;f;map;<hex>`), diff the
 //! per-chunk digests against their own copy, and pull only the changed
-//! chunk ranges (`;f;blk;<hex>;<start>;<count>`), falling back to a
-//! whole-file fetch on any digest mismatch.
+//! chunk ranges (`;f;blk;<hex>;<start>;<count>`, every range of a pull in
+//! one exchange) — a [`Patch`], whose clean chunks the store carries by
+//! reference without reading them.
 //!
 //! This file is on the lint R3 list: the decode path serves remote
 //! requests, so nothing here may panic on malformed input.
@@ -94,6 +95,23 @@ impl ChunkMap {
             chunk_size: chunk_size.max(1),
             size: 0,
             chunks: Vec::new(),
+        }
+    }
+
+    /// The map of `data` cut at `chunk_size`, every chunk digested. Slots
+    /// are left at zero: placing chunks is the store's business.
+    #[must_use]
+    pub fn of(data: &[u8], chunk_size: u32) -> Self {
+        let entry = |piece: &[u8]| ChunkEntry {
+            slot: 0,
+            len: piece.len() as u32,
+            digest: digest(piece),
+        };
+        let chunk_size = chunk_size.max(1);
+        ChunkMap {
+            chunk_size,
+            size: data.len() as u64,
+            chunks: data.chunks(chunk_size as usize).map(entry).collect(),
         }
     }
 
@@ -204,6 +222,22 @@ impl MapHeader {
     }
 }
 
+/// A file's new contents expressed against a copy that already holds most
+/// of them: the map of the new contents, and the bytes of only the chunks
+/// that copy cannot supply. Every other chunk is carried by reference — the
+/// store keeps its slot without reading it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Patch<'a> {
+    /// Map of the new contents (its entries' slots mean nothing here).
+    pub map: ChunkMap,
+    /// Ascending indices of the chunks whose bytes `data` supplies.
+    pub dirty: Vec<u32>,
+    /// Either the whole new contents, or only the `dirty` chunks back to
+    /// back (what a delta pull fetched) — told apart by length, since the
+    /// two layouts coincide exactly when every chunk is dirty.
+    pub data: &'a [u8],
+}
+
 /// Byte offset of entry `idx` in an encoded map.
 #[must_use]
 pub fn entry_offset(idx: u32) -> u64 {
@@ -245,36 +279,6 @@ pub fn decode_entries(header: &MapHeader, first: u32, buf: &[u8]) -> FsResult<Ve
         out.push(ChunkEntry { slot, len, digest });
     }
     Ok(out)
-}
-
-/// Splits `data` into chunk-sized pieces (the last may be short; empty data
-/// yields no pieces).
-#[must_use]
-pub fn split(data: &[u8], chunk_size: u32) -> Vec<&[u8]> {
-    if data.is_empty() {
-        return Vec::new();
-    }
-    data.chunks(chunk_size.max(1) as usize).collect()
-}
-
-/// Chunk indices of `data` (split at `remote.chunk_size`) whose bytes are
-/// NOT already present at the same index of `local` — the set a delta pull
-/// must ship. An index is clean only when both maps agree on length and
-/// digest.
-#[must_use]
-pub fn dirty_indices(local: &ChunkMap, remote: &ChunkMap) -> Vec<u32> {
-    let mut out = Vec::new();
-    for (i, rc) in remote.chunks.iter().enumerate() {
-        let clean = local.chunk_size == remote.chunk_size
-            && local
-                .chunks
-                .get(i)
-                .is_some_and(|lc| lc.len == rc.len && lc.digest == rc.digest);
-        if !clean {
-            out.push(i as u32);
-        }
-    }
-    out
 }
 
 /// Collapses sorted chunk indices into `(start, count)` ranges, the unit of
@@ -470,33 +474,16 @@ mod tests {
     }
 
     #[test]
-    fn split_and_digest_are_stable() {
-        assert!(split(b"", 4).is_empty());
-        let pieces = split(b"abcdefghij", 4);
-        assert_eq!(pieces, vec![&b"abcd"[..], b"efgh", b"ij"]);
+    fn map_of_bytes_and_digest_are_stable() {
+        assert_eq!(ChunkMap::of(b"", 4), ChunkMap::empty(4));
+        let mut want = map(4, &[b"abcd", b"efgh", b"ij"]);
+        want.chunks.iter_mut().for_each(|c| c.slot = 0);
+        assert_eq!(ChunkMap::of(b"abcdefghij", 4), want);
+        assert_eq!(ChunkMap::decode(&want.encode()).unwrap(), want);
         assert_eq!(digest(b"abcd"), digest(b"abcd"));
         assert_ne!(digest(b"abcd"), digest(b"abce"));
         // The FNV-1a offset basis: empty input digests to the basis.
         assert_eq!(digest(b""), 0xcbf2_9ce4_8422_2325);
-    }
-
-    #[test]
-    fn dirty_indices_finds_changes_growth_and_shrink() {
-        let old = map(4, &[b"abcd", b"efgh", b"xy"]);
-        // Identical.
-        assert!(dirty_indices(&old, &old).is_empty());
-        // One chunk changed.
-        let new = map(4, &[b"abcd", b"EFGH", b"xy"]);
-        assert_eq!(dirty_indices(&old, &new), vec![1]);
-        // Growth: the short tail changed and a chunk appeared.
-        let new = map(4, &[b"abcd", b"efgh", b"xyzw", b"q"]);
-        assert_eq!(dirty_indices(&old, &new), vec![2, 3]);
-        // Shrink: nothing to ship (delta is the remote's view).
-        let new = map(4, &[b"abcd"]);
-        assert!(dirty_indices(&old, &new).is_empty());
-        // Chunk-size mismatch: everything dirty.
-        let new = map(8, &[b"abcdefgh", b"xy"]);
-        assert_eq!(dirty_indices(&old, &new), vec![0, 1]);
     }
 
     #[test]

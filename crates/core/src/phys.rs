@@ -57,7 +57,7 @@ use ficus_vv::VersionVector;
 use crate::attrs::ReplAttrs;
 use crate::changelog::{ChangeLog, ChangelogStats, LogSuffix};
 use crate::chunks::{
-    self, ChunkEntry, ChunkMap, ChunkStats, CommitPoint, MapHeader, DEFAULT_CHUNK_SIZE,
+    self, ChunkEntry, ChunkMap, ChunkStats, CommitPoint, MapHeader, Patch, DEFAULT_CHUNK_SIZE,
     MAP_ENTRY_LEN, MAP_HEADER_LEN,
 };
 use crate::conflict::{ConflictKind, ConflictLog};
@@ -166,6 +166,11 @@ pub struct FicusPhysical {
     delta_commit: bool,
     chunk_counters: ChunkCounters,
     crash_plan: Mutex<Option<CommitPoint>>,
+    /// Files every chunk of which this mount has written or verified, so a
+    /// patch may carry their clean chunks by reference unread. Never
+    /// persisted: a crash can tear an in-place write, and empty is what a
+    /// mount starts from.
+    verified: Mutex<BTreeSet<FicusFileId>>,
 }
 
 /// Atomic counters behind [`ChunkStats`].
@@ -293,6 +298,7 @@ impl FicusPhysical {
             delta_commit: params.delta_commit,
             chunk_counters: ChunkCounters::default(),
             crash_plan: Mutex::new(None),
+            verified: Mutex::new(BTreeSet::new()),
         })
     }
 
@@ -681,6 +687,7 @@ impl FicusPhysical {
                 own_ufs: None,
             },
         );
+        self.verified.lock().insert(file);
         d.insert(FicusEntry::live(name, file, kind, entry_id), self.me)?;
         self.store_dir_entries(dir, &d)?;
         self.bump_vv(dir)?;
@@ -1244,7 +1251,8 @@ impl FicusPhysical {
         let _g = self.big.lock();
         let scope = self.file_scope(file)?;
         if !data.is_empty() {
-            self.splice(&scope, file, offset, data)?;
+            let spliced = self.splice(&scope, file, offset, data);
+            spliced.inspect_err(|_| self.unverify(file))?;
         }
         self.bump_vv(file)?;
         Ok(data.len())
@@ -1254,9 +1262,23 @@ impl FicusPhysical {
     pub fn truncate(&self, file: FicusFileId, size: u64) -> FsResult<()> {
         let _g = self.big.lock();
         let scope = self.file_scope(file)?;
-        let mut map = self.load_map(&scope, file)?;
+        let resized = self.resize(&scope, file, size);
+        resized.inspect_err(|_| self.unverify(file))?;
+        self.bump_vv(file)?;
+        Ok(())
+    }
+
+    /// An in-place update that failed may have left a slot and its map
+    /// entry disagreeing: the file leaves the verified set, and the next
+    /// pull checks its chunks again.
+    fn unverify(&self, file: FicusFileId) {
+        self.verified.lock().remove(&file);
+    }
+
+    fn resize(&self, scope: &VnodeRef, file: FicusFileId, size: u64) -> FsResult<()> {
+        let mut map = self.load_map(scope, file)?;
         if size > map.size {
-            self.splice(&scope, file, size, &[])?;
+            self.splice(scope, file, size, &[])?;
         } else if size < map.size {
             map.chunks
                 .truncate(size.div_ceil(u64::from(map.chunk_size)) as usize);
@@ -1264,24 +1286,23 @@ impl FicusPhysical {
             let header = map.header();
             let tlen = header.chunk_len(header.count.saturating_sub(1));
             if let Some(tail) = map.chunks.last_mut().filter(|t| tlen < t.len) {
-                let extent = self.extent(&scope, file, false)?;
+                let extent = self.extent(scope, file, false)?;
                 let bytes = self.read_slots(&extent, map.chunk_size, std::slice::from_ref(tail))?;
                 tail.len = tlen;
                 tail.digest = chunks::digest(bytes.get(..tlen as usize).ok_or(FsError::Io)?);
             }
-            self.write_named(&scope, &file.hex(), &map.encode())?;
+            self.write_named(scope, &file.hex(), &map.encode())?;
             // Slots past the highest one still referenced hold nothing any
             // map can reach: give their blocks back.
             let used = map.chunks.iter().map(|c| c.slot.saturating_add(1)).max();
             let keep = used.unwrap_or(0).saturating_mul(u64::from(map.chunk_size));
-            match self.extent(&scope, file, false) {
+            match self.extent(scope, file, false) {
                 Ok(extent) if keep < extent.getattr(&self.cred)?.size => {
                     extent.setattr(&self.cred, &SetAttr::size(keep))?;
                 }
                 _ => {}
             }
         }
-        self.bump_vv(file)?;
         Ok(())
     }
 
@@ -1370,29 +1391,67 @@ impl FicusPhysical {
     // --- shadow commit and remote versions ----------------------------------------
 
     /// Atomically replaces `file`'s contents with `data`, adopting
-    /// `new_vv`, via the single-file atomic commit service of §3.2 —
-    /// chunked, so only *dirty* chunks hit the disk (footnote 5's "update a
-    /// few bytes of a large file" cost goes away).
-    ///
-    /// Sequence: copy every chunk whose bytes differ from the committed
-    /// map into an extent slot that map does not reference and force the
-    /// extent to disk, once; write the shadow *map* (`<hex>.s`) and force
-    /// it; atomically swap the map reference (UFS rename); then persist the
-    /// merged attributes. A crash before the swap leaves the original map
-    /// and every slot it names intact (recovery discards the shadow map;
-    /// the slots the commit filled were never referenced and are simply
-    /// free); a crash between swap and attribute write leaves the data
-    /// newer than its recorded vector, which a later propagation pass
-    /// simply repeats.
-    ///
-    /// A *genuine* failure mid-commit (as opposed to an injected crash)
-    /// removes the shadow map before returning — a failed rename must not
-    /// leak its shadow until the next recovery.
+    /// `new_vv`: the commit of [`FicusPhysical::apply_patch`] over the patch
+    /// computed from the bytes — every chunk digested once, and those the
+    /// committed map already holds (same index, length and digest) carried.
     pub fn apply_remote_version(
         &self,
         file: FicusFileId,
         new_vv: &VersionVector,
         data: &[u8],
+    ) -> FsResult<()> {
+        self.commit(file, new_vv, |old_map| {
+            let map = ChunkMap::of(data, old_map.chunk_size);
+            let dirty = if self.delta_commit {
+                self.dirty_chunks(file, old_map, &map)
+            } else {
+                (0..map.chunks.len() as u32).collect()
+            };
+            Ok(Patch { map, dirty, data })
+        })
+    }
+
+    /// Atomically replaces `file`'s contents with those `patch` describes,
+    /// adopting `new_vv`, via the single-file atomic commit service of
+    /// §3.2 — chunked, so only the patch's *dirty* chunks hit the disk
+    /// (footnote 5's "update a few bytes of a large file" cost goes away)
+    /// and its clean chunks keep their slots unread.
+    ///
+    /// Sequence: copy the dirty chunks into extent slots the committed map
+    /// does not reference and force the extent to disk, once; write the
+    /// shadow *map* (`<hex>.s`) and force it; atomically swap the map
+    /// reference (UFS rename); then persist the merged attributes. A crash
+    /// before the swap leaves the original map and every slot it names
+    /// intact (recovery discards the shadow map; the slots the commit
+    /// filled were never referenced and are simply free); a crash between
+    /// swap and attribute write leaves the data newer than its recorded
+    /// vector, which a later propagation pass simply repeats.
+    ///
+    /// A *genuine* failure mid-commit (as opposed to an injected crash)
+    /// removes the shadow map before returning — a failed rename must not
+    /// leak its shadow until the next recovery.
+    ///
+    /// The patch's builder vouches for it: each dirty piece digests to its
+    /// entry, and the dirty set came from [`FicusPhysical::dirty_chunks`],
+    /// which checks what it lets a patch carry. A clean index whose
+    /// committed entry disagrees with the patch's map is `Stale` before
+    /// anything is written.
+    pub fn apply_patch(
+        &self,
+        file: FicusFileId,
+        new_vv: &VersionVector,
+        patch: Patch<'_>,
+    ) -> FsResult<()> {
+        self.commit(file, new_vv, |_| Ok(patch))
+    }
+
+    /// The one commit: `patch` is built against the committed map once the
+    /// vectors say there is something newer to commit.
+    fn commit<'a>(
+        &self,
+        file: FicusFileId,
+        new_vv: &VersionVector,
+        patch: impl FnOnce(&ChunkMap) -> FsResult<Patch<'a>>,
     ) -> FsResult<()> {
         let _g = self.big.lock();
         let mut attrs = self.repl_attrs(file)?;
@@ -1404,8 +1463,9 @@ impl FicusPhysical {
         }
         let scope = self.file_scope(file)?;
         let old_map = self.load_map(&scope, file)?;
+        let patch = patch(&old_map)?;
         let armed = self.crash_plan.lock().is_some();
-        if let Err(e) = self.commit_chunked(&scope, file, &old_map, data) {
+        if let Err(e) = self.commit_chunked(&scope, file, &old_map, patch) {
             // An injected crash models power loss: leave the debris for
             // recovery to prove it cleans up. A real error cleans up here.
             let injected = armed && self.crash_plan.lock().is_none();
@@ -1417,6 +1477,8 @@ impl FicusPhysical {
             }
             return Err(e);
         }
+        // Every chunk the new map names was just written or is vouched for.
+        self.verified.lock().insert(file);
         self.chunk_counters
             .maps_committed
             .fetch_add(1, AtomicOrdering::Relaxed);
@@ -1432,16 +1494,16 @@ impl FicusPhysical {
         Ok(())
     }
 
-    /// The data-moving half of [`FicusPhysical::apply_remote_version`]: up
-    /// to and including the atomic map swap.
+    /// The data-moving half of a commit: up to and including the atomic
+    /// map swap.
     fn commit_chunked(
         &self,
         scope: &VnodeRef,
         file: FicusFileId,
         old_map: &ChunkMap,
-        data: &[u8],
+        patch: Patch<'_>,
     ) -> FsResult<()> {
-        let new_map = self.place_chunks(scope, file, old_map, data)?;
+        let new_map = self.place_chunks(scope, file, old_map, patch)?;
         let shadow_name = format!("{}{}", file.hex(), SHADOW_SUFFIX);
         self.write_named(scope, &shadow_name, &new_map.encode())?;
         if self.take_crash(CommitPoint::BeforeMapSwap) {
@@ -1452,60 +1514,96 @@ impl FicusPhysical {
         scope.rename(&self.cred, &shadow_name, &peer, &file.hex())
     }
 
-    /// Builds the map of `data` over `old_map`'s extent and makes its
-    /// chunks durable: a chunk `old_map` already holds (same index, length
-    /// and digest) keeps its slot; every other chunk is copied into the
-    /// lowest slot `old_map` does not reference, and the extent is fsynced
-    /// once. Nothing `old_map` references is overwritten, so the returned
-    /// map can be published or dropped freely.
+    /// Gives every chunk of `patch`'s map a slot in `old_map`'s extent and
+    /// makes the dirty ones durable: a clean chunk keeps the slot `old_map`
+    /// gives it, unread; every dirty chunk is copied into the lowest slot
+    /// `old_map` does not reference, and the extent is fsynced once.
+    /// Nothing `old_map` references is overwritten, so the returned map
+    /// can be published or dropped freely.
     fn place_chunks(
         &self,
         scope: &VnodeRef,
         file: FicusFileId,
         old_map: &ChunkMap,
-        data: &[u8],
+        patch: Patch<'_>,
     ) -> FsResult<ChunkMap> {
-        let mut new_map = ChunkMap::empty(old_map.chunk_size);
-        new_map.size = data.len() as u64;
+        let (mut new_map, data) = (patch.map, patch.data);
+        let header = new_map.header();
+        // A dirty chunk's bytes start at its position in `data` times the
+        // chunk size: its index in the whole contents, or its rank among
+        // the dirty chunks when only those were handed over.
+        let packed = data.len() as u64 != header.size;
+        let handed = |&idx: &u32| header.chunk_len(idx) as usize;
+        let short = packed && patch.dirty.iter().map(handed).sum::<usize>() != data.len();
+        if header.chunk_size != old_map.chunk_size || short {
+            return Err(FsError::Stale);
+        }
         let mut free = old_map.free_slots();
-        let mut dirty: Vec<(u32, u64)> = Vec::new();
-        for (idx, piece) in (0u32..).zip(chunks::split(data, old_map.chunk_size)) {
-            let mut entry = ChunkEntry {
-                slot: 0,
-                len: piece.len() as u32,
-                digest: chunks::digest(piece),
-            };
-            let clean = old_map
-                .chunks
-                .get(idx as usize)
-                .filter(|e| self.delta_commit && e.len == entry.len && e.digest == entry.digest);
-            if let Some(e) = clean {
+        let mut dirty = patch.dirty.iter().peekable();
+        let mut placed: Vec<(u32, u64)> = Vec::new();
+        for (idx, entry) in (0u32..).zip(&mut new_map.chunks) {
+            if dirty.next_if_eq(&&idx).is_some() {
+                entry.slot = free.next().ok_or(FsError::NoSpace)?;
+                let at = if packed { placed.len() as u32 } else { idx };
+                placed.push((at, entry.slot));
+            } else {
                 // The committed bytes are already on disk in a slot the old
                 // map protects.
-                entry.slot = e.slot;
+                let same = |e: &&ChunkEntry| e.len == entry.len && e.digest == entry.digest;
+                let kept = old_map.chunks.get(idx as usize).filter(same);
+                entry.slot = kept.ok_or(FsError::Stale)?.slot;
                 self.chunk_counters
                     .chunks_reused
                     .fetch_add(1, AtomicOrdering::Relaxed);
-            } else {
-                entry.slot = free.next().ok_or(FsError::NoSpace)?;
-                dirty.push((idx, entry.slot));
             }
-            new_map.chunks.push(entry);
         }
-        if let Some(&(idx, slot)) = dirty.first() {
+        if dirty.next().is_some() {
+            return Err(FsError::Stale); // an index past the map, or out of order
+        }
+        if let Some(&(at, slot)) = placed.first() {
             let extent = self.extent(scope, file, true)?;
             if self.take_crash(CommitPoint::MidChunkWrite) {
                 // Power loss partway through the first dirty chunk: a torn
                 // prefix sits in a slot no map references.
                 let csize = old_map.chunk_size as usize;
-                let torn = data.get(..idx as usize * csize + csize / 2).unwrap_or(data);
-                let _ = self.write_slots(&extent, old_map.chunk_size, torn, &[(idx, slot)]);
+                let torn = data.get(..at as usize * csize + csize / 2).unwrap_or(data);
+                let _ = self.write_slots(&extent, old_map.chunk_size, torn, &[(at, slot)]);
                 return Err(FsError::Io);
             }
-            self.write_slots(&extent, old_map.chunk_size, data, &dirty)?;
+            self.write_slots(&extent, old_map.chunk_size, data, &placed)?;
             extent.fsync(&self.cred)?;
         }
         Ok(new_map)
+    }
+
+    /// The chunks of `new` that `file`, whose committed map is `old`,
+    /// cannot supply, ascending: those whose index, length or digest
+    /// differ, plus — for a file outside the verified set — those whose
+    /// stored bytes no longer digest to their entry. A crash inside an
+    /// in-place `splice` or `truncate` can tear a chunk that way, and
+    /// shipping it into a free slot like any other dirty chunk is what
+    /// heals it. A file this mount wrote or verified whole costs no read;
+    /// otherwise each would-be-clean chunk is read once, and one that
+    /// cannot be read is as torn as one that reads wrong.
+    #[must_use]
+    pub fn dirty_chunks(&self, file: FicusFileId, old: &ChunkMap, new: &ChunkMap) -> Vec<u32> {
+        let _g = self.big.lock();
+        let suspect = !self.verified.lock().contains(&file);
+        let scope = suspect.then(|| self.file_scope(file).ok()).flatten();
+        let extent = scope.and_then(|scope| self.extent(&scope, file, false).ok());
+        let sound = |e: &ChunkEntry| {
+            let read = |x| self.read_slots(x, old.chunk_size, std::slice::from_ref(e));
+            let held = extent.as_ref().and_then(|x| read(x).ok());
+            held.is_some_and(|bytes| chunks::digest(&bytes) == e.digest)
+        };
+        let clean = |idx: usize, want: &ChunkEntry| {
+            let same = |e: &&ChunkEntry| e.len == want.len && e.digest == want.digest;
+            let kept = old.chunks.get(idx).filter(same);
+            old.chunk_size == new.chunk_size && kept.is_some_and(|e| !suspect || sound(e))
+        };
+        let indexed = (0u32..).zip(&new.chunks);
+        let dirty = indexed.filter(|&(idx, want)| !clean(idx as usize, want));
+        dirty.map(|(idx, _)| idx).collect()
     }
 
     /// Joins `remote_vv` into a file whose remote content proved
@@ -1586,7 +1684,10 @@ impl FicusPhysical {
         };
         // No older version needs protecting, so the map is written in
         // place; the extent is durable before any map names it.
-        let map = self.place_chunks(&scope, file, &ChunkMap::empty(self.chunk_size), data)?;
+        let none = ChunkMap::empty(self.chunk_size);
+        let map = ChunkMap::of(data, self.chunk_size);
+        let dirty = (0..map.chunks.len() as u32).collect();
+        let map = self.place_chunks(&scope, file, &none, Patch { map, dirty, data })?;
         self.write_named(&scope, &file.hex(), &map.encode())?;
         let attrs = ReplAttrs {
             kind,
@@ -1605,6 +1706,7 @@ impl FicusPhysical {
                 own_ufs: None,
             },
         );
+        self.verified.lock().insert(file);
         self.log_change(file, false, vv);
         Ok(())
     }

@@ -817,7 +817,7 @@ fn absorb_identical_version_joins_histories_without_an_update() {
 
 // --- chunked-commit crash matrix (DESIGN.md §4.13) --------------------------
 
-use crate::chunks::{ChunkMap, CommitPoint};
+use crate::chunks::{self, ChunkMap, CommitPoint, Patch};
 use ficus_vnode::measure::{MeasureLayer, Op, OpCounters};
 use ficus_vnode::VnodeRef;
 
@@ -896,8 +896,10 @@ fn pattern(len: usize, salt: u32) -> Vec<u8> {
 
 #[test]
 fn commit_crash_matrix_original_intact_or_new_complete() {
-    // A crash at every point of the chunked commit, in both layouts. The
-    // §3.2 guarantee: after remount the file reads as the original or as
+    // A crash at every point of the chunked commit, in both layouts, the
+    // commit driven by a partial patch — the map of the new contents and
+    // the one dirty chunk's bytes, as a delta pull delivers it. The §3.2
+    // guarantee: after remount the file reads as the original or as
     // the complete new version — never a torn mixture. There is no debris
     // to sweep beyond the shadow map: whatever the crashed commit wrote
     // went into slots the committed map does not reference, so every slot
@@ -918,10 +920,15 @@ fn commit_crash_matrix_original_intact_or_new_complete() {
             vv.increment(2);
             let map_before = phys.chunk_map(f).unwrap();
             let bytes_before = slot_bytes(&ufs, f, &map_before);
+            let patch = Patch {
+                map: ChunkMap::of(&new_data, 4096),
+                dirty: vec![1],
+                data: &new_data[4096..2 * 4096],
+            };
 
             phys.arm_commit_crash(at);
             assert_eq!(
-                phys.apply_remote_version(f, &vv, &new_data).unwrap_err(),
+                phys.apply_patch(f, &vv, patch.clone()).unwrap_err(),
                 FsError::Io,
                 "{layout:?}/{at:?}: injected crash surfaces as Io"
             );
@@ -951,12 +958,17 @@ fn commit_crash_matrix_original_intact_or_new_complete() {
                     assert_eq!(slots(&map_after), vec![0, 5, 2, 3, 4], "{layout:?}/{at:?}");
                 }
             }
-            // Every slot the old map named still holds the old bytes.
+            // Every slot the old map named still holds the old bytes, and
+            // every slot the surviving map names — carried unread or newly
+            // filled — holds the bytes its entry digests.
             assert_eq!(
                 slot_bytes(&ufs, f, &map_before),
                 bytes_before,
                 "{layout:?}/{at:?}"
             );
+            for (entry, held) in map_after.chunks.iter().zip(slot_bytes(&ufs, f, &map_after)) {
+                assert_eq!(chunks::digest(&held), entry.digest, "{layout:?}/{at:?}");
+            }
             let shadows = u64::from(at == CommitPoint::BeforeMapSwap);
             assert_eq!(stats.shadows_discarded, shadows, "{layout:?}/{at:?}");
             assert_eq!(stats.extents_discarded, 0, "{layout:?}/{at:?}");
@@ -964,7 +976,7 @@ fn commit_crash_matrix_original_intact_or_new_complete() {
 
             // The interrupted propagation simply retries and completes,
             // into the same lowest free slot.
-            phys2.apply_remote_version(f, &vv, &new_data).unwrap();
+            phys2.apply_patch(f, &vv, patch).unwrap();
             assert_eq!(
                 &phys2.read(f, 0, new_data.len()).unwrap()[..],
                 &new_data[..]
@@ -976,6 +988,43 @@ fn commit_crash_matrix_original_intact_or_new_complete() {
             }
         }
     }
+}
+
+#[test]
+fn dirty_chunks_are_changes_growth_and_for_an_unverified_file_tears() {
+    let (ufs, phys) = crash_world(StorageLayout::Tree);
+    let f = phys.create(ROOT_FILE, "f", VnodeType::Regular).unwrap();
+    let data = pattern(2 * 4096 + 2, 3);
+    phys.write(f, 0, &data).unwrap();
+    let old = phys.chunk_map(f).unwrap();
+    let dirty = |phys: &FicusPhysical, new: &[u8]| {
+        let new = ChunkMap::of(new, 4096);
+        phys.dirty_chunks(f, &old, &new)
+    };
+    // Identical; one chunk changed; growth (the short tail changed and a
+    // chunk appeared); shrink (nothing to ship — the patch is the new
+    // contents' view); chunk-size mismatch (everything).
+    assert!(dirty(&phys, &data).is_empty());
+    let mut new = data.clone();
+    new[4096] ^= 1;
+    assert_eq!(dirty(&phys, &new), [1]);
+    let grown = [&data[..], &[7u8; 4096]].concat();
+    assert_eq!(dirty(&phys, &grown), [2, 3]);
+    assert!(dirty(&phys, &data[..4096]).is_empty());
+    let coarse = ChunkMap::of(&data, 8192);
+    assert_eq!(phys.dirty_chunks(f, &old, &coarse), [0, 1]);
+
+    // This mount wrote every chunk, so it reads none of them back: a tear
+    // made behind its back goes unseen until a mount that has verified
+    // nothing looks — and finds exactly the torn chunk.
+    extent_of(&ufs, f)
+        .write(&Credentials::root(), 4096 + 9, b"torn")
+        .unwrap();
+    assert!(dirty(&phys, &data).is_empty());
+    drop(phys);
+    let phys2 = remount(&ufs, StorageLayout::Tree);
+    assert_eq!(dirty(&phys2, &data), [1]);
+    assert_eq!(dirty(&phys2, &new), [1], "dirty twice over is dirty once");
 }
 
 #[test]
@@ -994,6 +1043,18 @@ fn genuine_commit_error_cleans_up_without_recovery() {
         FsError::Conflict
     );
     assert_eq!(phys.chunk_stats().commit_aborts, 0, "no storage work yet");
+    // A patch that would carry a chunk the committed map does not hold (its
+    // clean index 1 promises other bytes) is stale: counted, nothing moved.
+    let before = phys.chunk_map(f).unwrap();
+    let patch = Patch {
+        map: ChunkMap::of(&[2u8; 3 * 4096], 4096),
+        dirty: vec![0, 2],
+        data: &[2u8; 2 * 4096],
+    };
+    assert_eq!(phys.apply_patch(f, &vv, patch).unwrap_err(), FsError::Stale);
+    assert_eq!(phys.chunk_stats().commit_aborts, 1);
+    assert_eq!(phys.chunk_map(f).unwrap(), before);
+    assert!(!phys.file_vv(f).unwrap().covers(&vv));
 }
 
 #[test]

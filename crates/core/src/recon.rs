@@ -38,6 +38,7 @@ use ficus_vnode::{FsError, FsResult};
 use crate::access::{pull_file, FilePull, ReplicaAccess};
 use crate::attrs::ReplAttrs;
 use crate::changelog::ChangeRecord;
+use crate::chunks::Patch;
 use crate::dirfile::FicusEntry;
 use crate::ids::{FicusFileId, ROOT_FILE};
 use crate::phys::FicusPhysical;
@@ -227,17 +228,27 @@ pub fn reconcile_file_with_attrs(
     let pulled = pull_file(remote, Some(local), file)?;
     stats.count_pull(&pulled);
     if !concurrent {
-        local.apply_remote_version(file, &remote_attrs.vv, &pulled.data)?;
+        match pulled.map {
+            Some(map) => {
+                let (dirty, data) = (pulled.dirty, &pulled.data[..]);
+                local.apply_patch(file, &remote_attrs.vv, Patch { map, dirty, data })?;
+            }
+            None => local.apply_remote_version(file, &remote_attrs.vv, &pulled.data)?,
+        }
         stats.files_pulled += 1;
         return Ok(FileStep::Applied);
     }
+    // Only a divergence needs the remote version whole, to compare and to
+    // stash: the pulled chunks laid over the local contents.
     let size = local.storage_attr(file)?.size as usize;
-    if local.read(file, 0, size)?[..] == pulled.data[..] {
+    let mine = local.read(file, 0, size)?;
+    let theirs = pulled.into_contents(&mine)?;
+    if mine[..] == theirs[..] {
         local.absorb_identical_version(file, &remote_attrs.vv)?;
         stats.identical_merges += 1;
         return Ok(FileStep::Absorbed);
     }
-    local.stash_conflict_version(file, remote.replica(), &remote_attrs.vv, &pulled.data)?;
+    local.stash_conflict_version(file, remote.replica(), &remote_attrs.vv, &theirs)?;
     stats.update_conflicts += 1;
     Ok(FileStep::Stashed)
 }

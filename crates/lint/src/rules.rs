@@ -124,7 +124,8 @@ const R6_ROOTS: [(&str, &str); 11] = [
 
 /// Commit/recovery entry points for R7 — the fns whose rename is the
 /// paper's §3.2 original-or-new commit point, plus everything they call.
-const R7_ROOTS: [(&str, &str); 5] = [
+const R7_ROOTS: [(&str, &str); 6] = [
+    ("crates/core/src/phys.rs", "apply_patch"),
     ("crates/core/src/phys.rs", "apply_remote_version"),
     ("crates/core/src/phys.rs", "absorb_identical_version"),
     ("crates/core/src/phys.rs", "adopt_file"),

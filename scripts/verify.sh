@@ -6,8 +6,13 @@
 #                              # E10-E13 shape tests; stops before the
 #                              # workspace tests, clippy, fmt and bench-report
 #
-# Either way the last thing printed is scripts/loc.sh: non-test,
-# non-comment Rust lines per crate. It is reported, never gated.
+# Either way the run ends with scripts/loc.sh (non-test, non-comment Rust
+# lines per crate; reported, never gated) and each step's wall time with
+# the total, which is gated: a run slower than its recorded ceiling fails,
+# so the gate cannot quietly grow. The ceilings are four times what the
+# runs took on the machine that recorded them (full 224 s, quick 88 s,
+# both from a warm target/); VERIFY_CEILING_SECS overrides them on a
+# slower one.
 #
 # Tier-1 (the floor every PR must keep green) is `cargo build --release &&
 # cargo test -q`; note that because the root Cargo.toml is both a workspace
@@ -19,9 +24,24 @@ cd "$(dirname "$0")/.."
 # The workspace builds warning-clean; keep it that way locally too.
 export RUSTFLAGS="${RUSTFLAGS:--D warnings}"
 
+steps=()
 run() {
     echo "==> $*"
+    local began=$SECONDS
     "$@"
+    steps+=("$(printf '%5d s  %s' $((SECONDS - began)) "$*")")
+}
+
+# Prints what the run measured of itself and holds it to its ceiling.
+finish() {
+    scripts/loc.sh
+    printf '%s\n' "${steps[@]}"
+    local ceiling="${VERIFY_CEILING_SECS:-$1}"
+    printf '%5d s  total (ceiling %d s)\n' "$SECONDS" "$ceiling"
+    if ((SECONDS > ceiling)); then
+        echo "verify: FAILED: took longer than its ceiling" >&2
+        exit 1
+    fi
 }
 
 run cargo build --release
@@ -67,14 +87,16 @@ run cargo test -q -p ficus-bench e12
 # 5 %) from 1 to 4 to 16 MiB; a 64 KiB (16-chunk) edit of that file must
 # commit in <= 200 block writes (and so >= 10x fewer than the whole-file
 # baseline); delta propagation must ship exactly the dirty chunks (and
-# reuse the rest); and a full rewrite must cost the same either way.
+# reuse the rest); one pull of 16 scattered chunks of that file must take
+# 2 exchanges and read little more than the puller's own chunk map; and a
+# full rewrite must cost the same either way.
 # About 1 s in debug mode (it was 130 s while every chunk was a named UFS
 # object, long enough to starve the wall-clock E1 assertion that used to
 # run beside it under `cargo test --workspace`).
 run cargo test -q -p ficus-bench e13
 
 if [[ "${1:-}" == "--quick" ]]; then
-    scripts/loc.sh
+    finish 360
     echo "verify: quick OK (workspace tests, clippy, fmt and bench-report skipped)"
     exit 0
 fi
@@ -97,5 +119,5 @@ run cargo fmt --check
 # regression or commit the regenerated JSON with an explanation.
 run target/release/bench-report --out results --compare results
 
-scripts/loc.sh
+finish 900
 echo "verify: OK"

@@ -170,7 +170,7 @@ fn nfs_reconciliation_matches_the_in_memory_reference() {
 /// Exchanges per case over NFS, pinned: a directory is one `;f;dirx;`, an
 /// adopted file one whole-file read, a stored file of at most two chunks
 /// the map and then the whole file, and a 16-chunk file with k dirty runs
-/// the map and then k range reads.
+/// the map and then all k ranges in one exchange — two, whatever k is.
 #[test]
 fn exchanges_per_case_over_nfs() {
     let clock = SimClock::new();
@@ -221,7 +221,7 @@ fn exchanges_per_case_over_nfs() {
             exchange(";f;id;"),
             exchange(";f;map;"),
         ];
-        want.extend(vec![exchange(";f;blk;"); k]);
+        want.push((";f;blk;".to_owned(), k));
         assert_eq!(export.take(), want, "k = {k}");
         assert_eq!(
             local.read(big, 0, 16 * 4096),
